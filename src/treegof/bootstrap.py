@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimators import EstimateSequence, build_estimate_matrix, plugin_tetrads
+from .estimators import EstimateSequence, column_source, plugin_tetrads
 from .tree import ConstraintSystem
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "bootstrap_coordinates",
     "quantile_from_draws",
     "run_test",
+    "statistic_and_draws",
     "hotelling_statistic",
 ]
 
@@ -37,8 +38,9 @@ __all__ = [
 # degenerate and excluded from the max
 DIAG_FLOOR = 1e-300
 
-# multiplier chunk budget, in doubles, to bound peak memory
-_CHUNK_BUDGET = 4_000_000
+# budget, in doubles, of every intermediate block: an estimate-column
+# chunk, a multiplier chunk and a coordinate tile
+_CHUNK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -89,39 +91,151 @@ class HotellingResult:
     rank: int
 
 
-def _batch_sums(values: np.ndarray, batch_size: int):
-    """Non-overlapping batch sums of deviations from the overall mean.
+@dataclass(frozen=True)
+class _Fold:
+    """What the bootstrap keeps of the estimate columns after one pass:
+    the statistic, every column's variance proxy, and the batch sums,
+    scales and sidedness of the kept (non-degenerate) columns."""
 
-    Rows beyond the largest multiple of the batch size are not batched
-    (the column means still use every row).
+    statistic: float
+    diag: np.ndarray
+    sums: np.ndarray
+    scale: np.ndarray
+    one_sided: np.ndarray
+
+    @property
+    def k_effective(self) -> int:
+        return self.sums.shape[1]
+
+
+def _column_slices(rows: int, n_columns: int):
+    """Column chunks of at most ``_CHUNK_BUDGET`` values (at least one
+    column)."""
+    width = max(1, _CHUNK_BUDGET // rows)
+    return [slice(lo, lo + width) for lo in range(0, n_columns, width)]
+
+
+def _moments(values: np.ndarray, omega: int, batch_size: int):
+    """Column means, batch sums of deviations and variance proxies of
+    one chunk; the chunk itself is dropped on return.
+
+    The chunk is reduced in column-major layout, which the column
+    builder already produces: numpy then sums each column as one
+    contiguous vector (pairwise), so no result depends on how the
+    columns are chunked.  Row-major blocks are summed row by row
+    instead, and a lone column pairwise, which would tie the low bits
+    to the chunk width.
     """
-    rows = values.shape[0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("estimate values contain non-finite entries")
+    values = np.asfortranarray(values)
+    ybar = values.mean(axis=0)
+    dev = values[: omega * batch_size] - ybar
+    sums = dev.reshape(omega, batch_size, -1).sum(axis=1)
+    return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
+
+
+def _fold(block, rows: int, one_sided: np.ndarray, batch_size: int) -> _Fold:
+    """One pass over the estimate columns, chunk by chunk in canonical
+    order; ``block(cols)`` returns the rows x len(cols) values of the
+    columns in the slice ``cols``.
+
+    Per chunk: column means, non-overlapping batch sums of deviations
+    from them, variance proxies (the diagonal of the batched covariance
+    estimator) and the studentized means.  Rows beyond the largest
+    multiple of the batch size are not batched (the means still use
+    every row).
+    """
     omega = rows // batch_size
     if omega < 2:
         raise ValueError(
             f"{rows} rows with batch size {batch_size} leave {omega} batches; "
             "need at least 2"
         )
-    dev = values - values.mean(axis=0)
-    dev = dev[: omega * batch_size]
-    sums = dev.reshape(omega, batch_size, values.shape[1]).sum(axis=1)
-    return sums, omega
+    n_columns = len(one_sided)
+    diag = np.empty(n_columns)
+    sums = np.empty((omega, n_columns))
+    scale = np.empty(n_columns)
+    kept_sided = np.empty(n_columns, dtype=bool)
+    statistic = -math.inf
+    kept = 0
+    for cols in _column_slices(rows, n_columns):
+        ybar, chunk_sums, d = _moments(block(cols), omega, batch_size)
+        keep = d > DIAG_FLOOR
+        z = math.sqrt(rows) * ybar[keep] / np.sqrt(d[keep])
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
+            raise ValueError(
+                "variance proxies or studentized means overflow; "
+                "rescale the data"
+            )
+        diag[cols] = d
+        take = z.shape[0]
+        if take:
+            sided = one_sided[cols][keep]
+            statistic = max(statistic, float(np.where(sided, z, np.abs(z)).max()))
+            sums[:, kept : kept + take] = chunk_sums[:, keep]
+            scale[kept : kept + take] = math.sqrt(batch_size * omega) * np.sqrt(d[keep])
+            kept_sided[kept : kept + take] = sided
+            kept += take
+    return _Fold(statistic, diag, sums[:, :kept], scale[:kept], kept_sided[:kept])
+
+
+def _require_columns(fold: _Fold) -> _Fold:
+    if fold.k_effective == 0:
+        raise ValueError("every column is numerically constant; nothing to test")
+    return fold
+
+
+def _seq_fold(seq: EstimateSequence, batch_size: int) -> _Fold:
+    return _fold(lambda cols: seq.values[:, cols], seq.n_rows, seq.one_sided, batch_size)
+
+
+def _coordinate_tiles(fold: _Fold, num_draws: int, seed, multipliers):
+    """Yield (draw slice, column slice, studentized coordinates) tiles,
+    draw chunk by draw chunk; one generator serves both the sup-norm
+    reduction and the raw-coordinate diagnostic.
+
+    A single generator instance produces the multiplier stream in
+    row-major order, so the chunk size never changes the values drawn.
+    """
+    omega, kept = fold.sums.shape
+    rng = np.random.default_rng(seed)
+    if multipliers is not None:
+        multipliers = np.asarray(multipliers, dtype=float)
+        if multipliers.shape != (num_draws, omega):
+            raise ValueError(
+                f"multipliers must have shape {(num_draws, omega)}, "
+                f"got {multipliers.shape}"
+            )
+    chunk = max(1, _CHUNK_BUDGET // omega)
+    for start in range(0, num_draws, chunk):
+        take = min(chunk, num_draws - start)
+        if multipliers is None:
+            e = rng.standard_normal((take, omega))
+        else:
+            e = multipliers[start : start + take]
+        width = max(1, _CHUNK_BUDGET // take)
+        for lo in range(0, kept, width):
+            cols = slice(lo, lo + width)
+            coord = e @ fold.sums[:, cols]
+            coord /= fold.scale[cols]
+            yield slice(start, start + take), cols, coord
+
+
+def _draws(fold: _Fold, num_draws: int, seed, multipliers=None) -> np.ndarray:
+    """Sup-norm draws: per draw, the largest coordinate, signed for
+    one-sided columns and absolute otherwise."""
+    out = np.full(num_draws, -np.inf)
+    for draws, cols, coord in _coordinate_tiles(fold, num_draws, seed, multipliers):
+        np.abs(coord, out=coord, where=~fold.one_sided[cols])
+        np.maximum(out[draws], coord.max(axis=1), out=out[draws])
+    return out
 
 
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
     """Per-column variance proxies from batch sums: the diagonal of the
     batched covariance estimator."""
-    sums, omega = _batch_sums(seq.values, batch_size)
-    return (sums**2).sum(axis=0) / (batch_size * omega)
-
-
-def _parts(seq: EstimateSequence, batch_size: int):
-    sums, omega = _batch_sums(seq.values, batch_size)
-    diag = (sums**2).sum(axis=0) / (batch_size * omega)
-    keep = diag > DIAG_FLOOR
-    if not keep.any():
-        raise ValueError("every column is numerically constant; nothing to test")
-    return sums, omega, diag, keep
+    return _seq_fold(seq, batch_size).diag
 
 
 def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
@@ -132,38 +246,7 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
     contribute signed values, so only positive deviations count against
     the null.
     """
-    _, _, diag, keep = _parts(seq, batch_size)
-    ybar = seq.values.mean(axis=0)
-    z = math.sqrt(seq.n_rows) * ybar[keep] / np.sqrt(diag[keep])
-    contrib = np.where(seq.one_sided[keep], z, np.abs(z))
-    return float(contrib.max())
-
-
-def _coordinate_chunks(sums, omega, scale, num_draws, seed, multipliers):
-    """Yield (start, coordinate-chunk) pairs; one generator serves both
-    the sup-norm reduction and the raw-coordinate diagnostic.
-
-    A single generator instance produces the stream in row-major order,
-    so the chunk size never changes the values drawn.
-    """
-    rng = np.random.default_rng(seed)
-    if multipliers is not None:
-        multipliers = np.asarray(multipliers, dtype=float)
-        if multipliers.shape != (num_draws, omega):
-            raise ValueError(
-                f"multipliers must have shape {(num_draws, omega)}, "
-                f"got {multipliers.shape}"
-            )
-    chunk = max(1, _CHUNK_BUDGET // max(omega, 1))
-    start = 0
-    while start < num_draws:
-        take = min(chunk, num_draws - start)
-        if multipliers is None:
-            e = rng.standard_normal((take, omega))
-        else:
-            e = multipliers[start : start + take]
-        yield start, (e @ sums) / scale
-        start += take
+    return _require_columns(_seq_fold(seq, batch_size)).statistic
 
 
 def multiplier_draws(
@@ -180,17 +263,8 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).  ``multipliers`` overrides the random draw for testing.
     """
-    sums, omega, diag, keep = _parts(seq, batch_size)
-    scale = math.sqrt(batch_size * omega) * np.sqrt(diag[keep])
-    kept_sums = sums[:, keep]
-    one_sided = seq.one_sided[keep]
-    out = np.empty(num_draws)
-    for start, coord in _coordinate_chunks(
-        kept_sums, omega, scale, num_draws, seed, multipliers
-    ):
-        contrib = np.where(one_sided, coord, np.abs(coord))
-        out[start : start + coord.shape[0]] = contrib.max(axis=1)
-    return out
+    fold = _require_columns(_seq_fold(seq, batch_size))
+    return _draws(fold, num_draws, seed, multipliers)
 
 
 def bootstrap_coordinates(
@@ -207,14 +281,10 @@ def bootstrap_coordinates(
     coordinates whose signed/absolute row maxima are exactly the draws.
     Conditionally on the data, every coordinate has variance 1.
     """
-    sums, omega, diag, keep = _parts(seq, batch_size)
-    scale = math.sqrt(batch_size * omega) * np.sqrt(diag[keep])
-    kept_sums = sums[:, keep]
-    out = np.empty((num_draws, int(keep.sum())))
-    for start, coord in _coordinate_chunks(
-        kept_sums, omega, scale, num_draws, seed, multipliers
-    ):
-        out[start : start + coord.shape[0]] = coord
+    fold = _require_columns(_seq_fold(seq, batch_size))
+    out = np.empty((num_draws, fold.k_effective))
+    for draws, cols, coord in _coordinate_tiles(fold, num_draws, seed, multipliers):
+        out[draws, cols] = coord
     return out
 
 
@@ -229,10 +299,7 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
     return float(draws[idx - 1])
 
 
-def run_test(
-    data, constraints: ConstraintSystem, config: BootstrapConfig
-) -> TestResult:
-    """Full bootstrap test of the constraint system on one dataset."""
+def _fold_and_draw(data, constraints: ConstraintSystem, config: BootstrapConfig):
     if isinstance(config.seed, np.random.SeedSequence):
         ss = config.seed
     else:
@@ -241,30 +308,31 @@ def run_test(
     subsample = None
     if config.subsample is not None:
         subsample = (config.subsample, sub_ss)
-    seq = build_estimate_matrix(
-        data,
-        constraints,
-        mode=config.mode,
-        subsample=subsample,
-        center=config.center,
-    )
-    if seq.n_columns == 0:
+    source = column_source(data, constraints, config.mode, subsample, config.center)
+    if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
-    sums, omega, diag, keep = _parts(seq, config.batch_size)
-    ybar = seq.values.mean(axis=0)
-    z = math.sqrt(seq.n_rows) * ybar[keep] / np.sqrt(diag[keep])
-    stat = float(np.where(seq.one_sided[keep], z, np.abs(z)).max())
+    fold = _fold(source.block, source.rows, source.one_sided, config.batch_size)
+    fold = _require_columns(fold)
+    return fold, _draws(fold, config.num_multipliers, mult_ss)
 
-    scale = math.sqrt(config.batch_size * omega) * np.sqrt(diag[keep])
-    kept_sums = sums[:, keep]
-    one_sided = seq.one_sided[keep]
-    draws = np.empty(config.num_multipliers)
-    for start, coord in _coordinate_chunks(
-        kept_sums, omega, scale, config.num_multipliers, mult_ss, None
-    ):
-        contrib = np.where(one_sided, coord, np.abs(coord))
-        draws[start : start + coord.shape[0]] = contrib.max(axis=1)
 
+def statistic_and_draws(data, constraints: ConstraintSystem, config: BootstrapConfig):
+    """The test statistic and its bootstrap draws, from one pass over
+    the estimate columns; ``run_test`` compares exactly these."""
+    fold, draws = _fold_and_draw(data, constraints, config)
+    return fold.statistic, draws
+
+
+def run_test(
+    data, constraints: ConstraintSystem, config: BootstrapConfig
+) -> TestResult:
+    """Full bootstrap test of the constraint system on one dataset.
+
+    The estimate columns are built, reduced and dropped chunk by chunk;
+    only the batch sums of the kept columns are held for the draws.
+    """
+    fold, draws = _fold_and_draw(data, constraints, config)
+    stat = fold.statistic
     quantile = quantile_from_draws(draws, config.alpha)
     p_value = (float(np.count_nonzero(draws >= stat)) + 1.0) / (
         config.num_multipliers + 1.0
@@ -274,8 +342,8 @@ def run_test(
         quantile=quantile,
         p_value=p_value,
         reject=bool(stat > quantile),
-        k_effective=int(keep.sum()),
-        diag_floor_hits=int((~keep).sum()),
+        k_effective=fold.k_effective,
+        diag_floor_hits=len(fold.diag) - fold.k_effective,
     )
 
 

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -28,12 +29,10 @@ from numpy.random import SeedSequence
 from ._svg import size_plot
 from .bootstrap import (
     BootstrapConfig,
-    multiplier_draws,
     quantile_from_draws,
     run_test,
-    test_statistic,
+    statistic_and_draws,
 )
-from .estimators import build_estimate_matrix
 from .metric import is_t_induced
 from .model import (
     SampleMatrix,
@@ -227,34 +226,25 @@ def cmd_test(args) -> int:
 _WORKER = {}
 
 
-def _init_simulate_worker(cov, system, n, batch, multipliers, mode, center,
-                          subsample, entropy):
-    _WORKER.update(
-        cov=cov, system=system, n=n, batch=batch, multipliers=multipliers,
-        mode=mode, center=center, subsample=subsample, entropy=entropy,
-    )
+def _init_simulate_worker(cov, system, n, config, entropy):
+    _WORKER.update(cov=cov, system=system, n=n, config=config, entropy=entropy)
 
 
 def _simulate_rep(rep: int):
     """One replication: draw data, return the statistic and its draws.
 
-    Uses the same per-run seed split as ``run_test`` (multiplier stream
-    first, subsampling stream second) so a replication can be reproduced
-    with the ``test`` command.
+    The data come from ``SeedSequence(entropy, spawn_key=(rep, 0))`` and
+    the test from ``SeedSequence(entropy, spawn_key=(rep, 1))``, split
+    like ``run_test`` splits its seed.  ``treegof test --seed`` takes an
+    integer, so a replication can be rerun through the Python API with
+    these seed sequences, not from the command line.
     """
     w = _WORKER
     data_ss = SeedSequence(entropy=w["entropy"], spawn_key=(rep, 0))
     test_ss = SeedSequence(entropy=w["entropy"], spawn_key=(rep, 1))
-    mult_ss, sub_ss = test_ss.spawn(2)
     x = sample(w["cov"], w["n"], data_ss).data
-    subsample = None
-    if w["subsample"] is not None:
-        subsample = (w["subsample"], sub_ss)
-    seq = build_estimate_matrix(
-        x, w["system"], mode=w["mode"], subsample=subsample, center=w["center"]
-    )
-    stat = test_statistic(seq, w["batch"])
-    draws = multiplier_draws(seq, w["batch"], w["multipliers"], mult_ss)
+    config = replace(w["config"], seed=test_ss)
+    stat, draws = statistic_and_draws(x, w["system"], config)
     return rep, stat, draws
 
 
@@ -265,10 +255,7 @@ def cmd_simulate(args) -> int:
         args.setup, args.m, SeedSequence(entropy=args.seed, spawn_key=(0, 2))
     )
     cov = covariance_from_factor(params)
-    init_args = (
-        cov, system, args.n, args.batch, args.multipliers, args.mode,
-        not args.no_center, args.subsample, args.seed,
-    )
+    init_args = (cov, system, args.n, _bootstrap_config(args), args.seed)
     reps = range(args.reps)
     if args.jobs > 1:
         ctx = get_context("spawn")

@@ -3,8 +3,9 @@
 Equality constraints are quadratic in the covariance, so products of two
 consecutive sample rows estimate them without bias; the resulting column
 sequences are 1-dependent.  Sign inequalities are cubic and use three
-consecutive rows, giving 2-dependent sequences.  Columns are assembled
-in the canonical constraint order into one matrix for the bootstrap.
+consecutive rows, giving 2-dependent sequences.  Columns follow the
+canonical constraint order; the bootstrap builds them chunk by chunk
+from a ``ColumnSource``, ``build_estimate_matrix`` as one matrix.
 """
 
 from __future__ import annotations
@@ -76,32 +77,27 @@ def _data_array(data) -> np.ndarray:
     return arr
 
 
-def _difference_columns(x: np.ndarray, pairs) -> np.ndarray:
-    """One column per (rows, cols) pair: products of consecutive rows,
-    unbiased for sigma_ab * sigma_cd - sigma_ad * sigma_cb."""
-    if not pairs:
-        return np.empty((max(x.shape[0] - 1, 0), 0))
-    a = np.array([p[0][0] for p in pairs])
-    b = np.array([p[0][1] for p in pairs])
-    c = np.array([p[1][0] for p in pairs])
-    d = np.array([p[1][1] for p in pairs])
+def _difference_columns(x: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """One column per (a, b, c, d) row of ``quads``: products of
+    consecutive rows, unbiased for sigma_ab * sigma_cd - sigma_ad * sigma_cb."""
+    a, b, c, d = quads.T
     u = x[:-1]
     v = x[1:]
     return u[:, a] * u[:, b] * v[:, c] * v[:, d] - u[:, a] * u[:, d] * v[:, c] * v[:, b]
 
 
-def _monomial_columns(x: np.ndarray, triples) -> np.ndarray:
-    """One column per triple: products over three consecutive rows,
-    unbiased for sigma_pq * sigma_pr * sigma_qr."""
-    if not triples:
-        return np.empty((max(x.shape[0] - 2, 0), 0))
-    p = np.array([t[0] for t in triples])
-    q = np.array([t[1] for t in triples])
-    r = np.array([t[2] for t in triples])
+def _monomial_columns(x: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """One column per (p, q, r) row of ``triples``: products over three
+    consecutive rows, unbiased for sigma_pq * sigma_pr * sigma_qr."""
+    p, q, r = triples.T
     w0 = x[:-2]
     w1 = x[1:-1]
     w2 = x[2:]
     return w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
+
+
+def _index_rows(items, width: int) -> np.ndarray:
+    return np.asarray(items, dtype=np.intp).reshape(-1, width)
 
 
 def tetrad_estimates(data, idx: TetradIndex) -> np.ndarray:
@@ -114,7 +110,7 @@ def tetrad_estimates(data, idx: TetradIndex) -> np.ndarray:
         raise ValueError("tetrad estimation needs at least 2 rows")
     if max(*idx.rows, *idx.cols) >= x.shape[1]:
         raise IndexError("tetrad index out of range for data width")
-    return _difference_columns(x, [(idx.rows, idx.cols)])[:, 0]
+    return _difference_columns(x, _index_rows([idx.rows + idx.cols], 4))[:, 0]
 
 
 def monomial_estimates(data, triple) -> np.ndarray:
@@ -127,7 +123,7 @@ def monomial_estimates(data, triple) -> np.ndarray:
         raise ValueError("triple indices must be distinct")
     if max(p, q, r) >= x.shape[1]:
         raise IndexError("triple index out of range for data width")
-    return _monomial_columns(x, [(p, q, r)])[:, 0]
+    return _monomial_columns(x, _index_rows([(p, q, r)], 3))[:, 0]
 
 
 def _pair_id(pair) -> str:
@@ -180,6 +176,99 @@ class EstimateSequence:
         return self.values.shape[1]
 
 
+@dataclass(frozen=True)
+class ColumnSource:
+    """The estimate columns of one dataset in canonical constraint order,
+    built on demand by column range so that the full matrix need never
+    exist.
+
+    ``quads`` holds one (a, b, c, d) row per difference column and
+    ``triples`` one (p, q, r) row per sign column; sign columns follow
+    every difference column.  ``rows`` is n - dependence_order.
+    """
+
+    x: np.ndarray
+    quads: np.ndarray
+    triples: np.ndarray
+    rows: int
+    dependence_order: int
+
+    @property
+    def n_columns(self) -> int:
+        return len(self.quads) + len(self.triples)
+
+    @property
+    def one_sided(self) -> np.ndarray:
+        return np.arange(self.n_columns) >= len(self.quads)
+
+    def block(self, cols: slice) -> np.ndarray:
+        """Columns ``cols.start`` to ``cols.stop - 1``, one row per
+        estimate; sign columns hold negated monomial estimates, so that
+        large positive values indicate violation."""
+        split = len(self.quads)
+        quads = self.quads[cols]
+        triples = self.triples[max(cols.start - split, 0) : max(cols.stop - split, 0)]
+        eq = _difference_columns(self.x[: self.rows + 1], quads)
+        if len(triples) == 0:
+            return eq
+        return np.hstack([eq, -_monomial_columns(self.x, triples)])
+
+    def ids(self) -> list:
+        return [_pair_id(((a, b), (c, d))) for a, b, c, d in self.quads.tolist()] + [
+            _triple_id(t) for t in self.triples.tolist()
+        ]
+
+
+def column_source(
+    data,
+    constraints: ConstraintSystem,
+    mode: str = "equalities",
+    subsample=None,
+    center: bool = True,
+) -> ColumnSource:
+    """Validate the data and select the estimate columns of a constraint
+    system; the parameters are those of ``build_estimate_matrix``.
+
+    A subsample is drawn before any column is built.
+    """
+    x = _data_array(data)
+    n, m = x.shape
+    if m != constraints.m:
+        raise ValueError(
+            f"data has {m} columns but constraints expect {constraints.m}"
+        )
+    if center and n > 0:
+        x = x - x.mean(axis=0)
+    quads = _index_rows(constraints.equality_column_pairs(), 4)
+    if mode == "equalities":
+        if n < 2:
+            raise ValueError("need at least 2 rows for equality columns")
+        order = 1
+        triples = _index_rows([], 3)
+    elif mode == "all":
+        if n < 3:
+            raise ValueError("need at least 3 rows when inequality columns are on")
+        order = 2
+        triples = _index_rows(constraints.sign_triples(), 3)
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'equalities' or 'all'")
+    if subsample is not None:
+        k, sub_seed = subsample
+        total = len(quads) + len(triples)
+        if not 1 <= k:
+            raise ValueError("subsample size must be at least 1")
+        if k > total:
+            raise ValueError(
+                f"subsample size {k} exceeds the {total} available columns"
+            )
+        rng = np.random.default_rng(sub_seed)
+        sel = np.sort(rng.choice(total, size=k, replace=False))
+        split = np.searchsorted(sel, len(quads))
+        triples = triples[sel[split:] - len(quads)]
+        quads = quads[sel[:split]]
+    return ColumnSource(x, quads, triples, n - order, order)
+
+
 def build_estimate_matrix(
     data,
     constraints: ConstraintSystem,
@@ -204,51 +293,11 @@ def build_estimate_matrix(
         Subtract column means first.  Disable to reproduce the exact
         mean-zero construction.
     """
-    x = _data_array(data)
-    n, m = x.shape
-    if m != constraints.m:
-        raise ValueError(
-            f"data has {m} columns but constraints expect {constraints.m}"
-        )
-    if center and n > 0:
-        x = x - x.mean(axis=0)
-    pairs = constraints.equality_column_pairs()
-    ids = [_pair_id(p) for p in pairs]
-    if mode == "equalities":
-        if n < 2:
-            raise ValueError("need at least 2 rows for equality columns")
-        values = _difference_columns(x, pairs)
-        order = 1
-        one_sided = np.zeros(len(pairs), dtype=bool)
-    elif mode == "all":
-        if n < 3:
-            raise ValueError("need at least 3 rows when inequality columns are on")
-        eq = _difference_columns(x, pairs)[: n - 2]
-        triples = constraints.sign_triples()
-        mono = -_monomial_columns(x, triples)
-        values = np.hstack([eq, mono])
-        ids += [_triple_id(t) for t in triples]
-        order = 2
-        one_sided = np.concatenate(
-            [np.zeros(len(pairs), dtype=bool), np.ones(len(triples), dtype=bool)]
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'equalities' or 'all'")
-    if subsample is not None:
-        k, sub_seed = subsample
-        total = values.shape[1]
-        if not 1 <= k:
-            raise ValueError("subsample size must be at least 1")
-        if k > total:
-            raise ValueError(
-                f"subsample size {k} exceeds the {total} available columns"
-            )
-        rng = np.random.default_rng(sub_seed)
-        sel = np.sort(rng.choice(total, size=k, replace=False))
-        values = values[:, sel]
-        ids = [ids[i] for i in sel]
-        one_sided = one_sided[sel]
-    return EstimateSequence(values, order, tuple(ids), one_sided)
+    source = column_source(data, constraints, mode, subsample, center)
+    values = source.block(slice(0, source.n_columns))
+    return EstimateSequence(
+        values, source.dependence_order, tuple(source.ids()), source.one_sided
+    )
 
 
 def column_means(seq: EstimateSequence) -> np.ndarray:

@@ -8,6 +8,7 @@ the quadratic form) use fixed seeds and wide tolerance bands.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,10 +174,31 @@ def test_draws_invariant_to_chunk_size(monkeypatch):
     rng = np.random.default_rng(5)
     seq = _seq(rng.normal(size=(33, 4)))
     full = multiplier_draws(seq, 3, 50, 99)
+    diag = batched_diag(seq, 3)
+    default = btmod._CHUNK_BUDGET
     monkeypatch.setattr(btmod, "_CHUNK_BUDGET", 7)
     chunked = multiplier_draws(seq, 3, 50, 99)
     # the multiplier stream is identical; only matmul blocking may differ
     np.testing.assert_allclose(chunked, full, rtol=1e-12)
+    np.testing.assert_array_equal(batched_diag(seq, 3), diag)
+
+    # whole runs: a budget of 1 gives one column per chunk, one draw per
+    # multiplier chunk and one-column coordinate tiles; 3 * omega gives
+    # three draws per chunk.  Per-column arithmetic does not depend on
+    # the chunking, so the statistic is exact.
+    for kwargs in ({"mode": "equalities"}, {"mode": "all"}, {"subsample": 15}):
+        data, system, config = _null_case(6, 250, 3, **kwargs)
+        monkeypatch.setattr(btmod, "_CHUNK_BUDGET", default)
+        whole = run_test(data, system, config)
+        omega = (250 - (2 if kwargs.get("mode") == "all" else 1)) // 3
+        for budget in (1, 3 * omega):
+            monkeypatch.setattr(btmod, "_CHUNK_BUDGET", budget)
+            got = run_test(data, system, config)
+            assert (got.statistic, got.k_effective, got.diag_floor_hits, got.reject) == (
+                whole.statistic, whole.k_effective, whole.diag_floor_hits, whole.reject
+            ), kwargs
+            assert got.quantile == pytest.approx(whole.quantile, rel=1e-12, abs=0)
+            assert got.p_value == pytest.approx(whole.p_value, rel=1e-12, abs=0)
 
 
 def test_coordinates_have_unit_conditional_variance():
@@ -342,6 +364,31 @@ def test_run_test_mixed_sign_alternative():
     result = run_test(data, system, config)
     assert result.k_effective == 6
     assert np.isfinite(result.statistic)
+
+
+def test_run_test_memory_below_estimate_matrix():
+    # a 20-leaf star at n=500 has k=9,690 columns; the n x k estimate
+    # matrix alone would take 37 MiB, the kept batch sums take 12 MiB
+    system = enumerate_constraints(star_tree(20))
+    data = sample(covariance_from_factor(setup_params(1, 20, seed=0)), 500, seed=1)
+    matrix_bytes = 499 * system.n_equality_terms * 8
+    tracemalloc.start()
+    try:
+        result = run_test(data, system, BootstrapConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.k_effective == 9690
+    assert peak < matrix_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_test_overflowing_data_fails_loudly():
+    # squared batch sums of data scaled by 1e40 overflow; the test must
+    # not report statistic 0 and p = 1
+    data, system, config = _null_case(6, 300, 0)
+    with pytest.raises(ValueError, match="overflow"):
+        run_test(data.data * 1e40, system, config)
 
 
 def test_run_test_errors():
