@@ -54,9 +54,7 @@ from .model import (
 from .tree import (
     ConstraintSystem,
     LatentTree,
-    QuadClass,
     TreeError,
-    TripleClass,
     enumerate_constraints,
     load_tree,
     parse_tree,
@@ -72,12 +70,10 @@ __all__ = [
     "LatentTree",
     "MetricReport",
     "OneFactorParams",
-    "QuadClass",
     "SampleMatrix",
     "TestResult",
     "TetradIndex",
     "TreeError",
-    "TripleClass",
     "TreeModelParams",
     "Violation",
     "batched_diag",

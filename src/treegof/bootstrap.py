@@ -347,12 +347,6 @@ def run_test(
     )
 
 
-def _sym_pairs(m: int):
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    index = {p: k for k, p in enumerate(pairs)}
-    return pairs, index
-
-
 def hotelling_statistic(
     data, constraints: ConstraintSystem, rank_rtol: Optional[float] = None
 ) -> HotellingResult:
@@ -386,22 +380,19 @@ def hotelling_statistic(
     tau = plugin_tetrads(x, constraints)
     s = x.T @ x / n
 
-    pairs, index = _sym_pairs(m)
-    grad = np.zeros((k_cols, len(pairs)))
+    pa, pb = np.triu_indices(m)
+    pair_id = np.empty((m, m), dtype=np.intp)
+    pair_id[pa, pb] = pair_id[pb, pa] = np.arange(len(pa))
+    a, b, c, d = constraints.equality_column_pairs().T
+    grad = np.zeros((k_cols, len(pa)))
+    rows = np.arange(k_cols)
+    for i, j, value in (
+        (a, b, s[c, d]), (c, d, s[a, b]), (a, d, -s[c, b]), (c, b, -s[a, d])
+    ):
+        np.add.at(grad, (rows, pair_id[i, j]), value)
 
-    def bump(row, i, j, value):
-        grad[row, index[(min(i, j), max(i, j))]] += value
-
-    for row, ((a, b), (c, d)) in enumerate(constraints.equality_column_pairs()):
-        bump(row, a, b, s[c, d])
-        bump(row, c, d, s[a, b])
-        bump(row, a, d, -s[c, b])
-        bump(row, c, b, -s[a, d])
-
-    moment_cov = np.empty((len(pairs), len(pairs)))
-    for u, (a, b) in enumerate(pairs):
-        for v, (c, d) in enumerate(pairs):
-            moment_cov[u, v] = (s[a, c] * s[b, d] + s[a, d] * s[b, c]) / n
+    ra, rb = pa[:, None], pb[:, None]
+    moment_cov = (s[ra, pa] * s[rb, pb] + s[ra, pb] * s[rb, pa]) / n
     v_hat = grad @ moment_cov @ grad.T
 
     eigvals, eigvecs = np.linalg.eigh(v_hat)

@@ -87,6 +87,8 @@ def _read_matrix_csv(path):
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: non-numeric field")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return [n.strip() for n in names], np.asarray(rows, dtype=float)
 
 
@@ -175,12 +177,11 @@ def _parse_params_file(path):
 
 def cmd_enumerate(args) -> int:
     tree = load_tree(args.tree)
-    system = enumerate_constraints(tree)
-    rows = []
-    for i, (side, kind, indices, poly) in enumerate(system.scalar_rows(), start=1):
-        del side
-        label = " ".join(tree.observed[j] for j in indices)
-        rows.append((f"c{i:03d}", kind, label, poly))
+    terms = enumerate(enumerate_constraints(tree).scalar_rows(), start=1)
+    rows = (
+        (f"c{i:03d}", kind, " ".join(tree.observed[j] for j in indices), poly)
+        for i, (_, kind, indices, poly) in terms
+    )
     _write_rows(args.out, ("constraint_id", "kind", "indices", "polynomial"), rows)
     return 0
 

@@ -239,17 +239,17 @@ def column_source(
         )
     if center and n > 0:
         x = x - x.mean(axis=0)
-    quads = _index_rows(constraints.equality_column_pairs(), 4)
+    quads = constraints.equality_column_pairs()
     if mode == "equalities":
         if n < 2:
             raise ValueError("need at least 2 rows for equality columns")
         order = 1
-        triples = _index_rows([], 3)
+        triples = np.empty((0, 3), dtype=np.intp)
     elif mode == "all":
         if n < 3:
             raise ValueError("need at least 3 rows when inequality columns are on")
         order = 2
-        triples = _index_rows(constraints.sign_triples(), 3)
+        triples = constraints.sign_triples()
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'equalities' or 'all'")
     if subsample is not None:
@@ -319,7 +319,5 @@ def plugin_tetrads(data, constraints: ConstraintSystem) -> np.ndarray:
             f"data has {x.shape[1]} columns but constraints expect {constraints.m}"
         )
     s = x.T @ x / n
-    out = np.empty(constraints.n_equality_terms)
-    for k, ((a, b), (c, d)) in enumerate(constraints.equality_column_pairs()):
-        out[k] = s[a, b] * s[c, d] - s[a, d] * s[c, b]
-    return out
+    a, b, c, d = constraints.equality_column_pairs().T
+    return s[a, b] * s[c, d] - s[a, d] * s[c, b]

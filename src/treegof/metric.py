@@ -13,11 +13,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import LatentTree, _norm_edge
+from .tree import (
+    _PAIRINGS,
+    LatentTree,
+    _classify,
+    _norm_edge,
+    _pairing_sums,
+    _path_fold,
+)
 
 __all__ = [
     "Violation",
@@ -81,14 +89,7 @@ def induced_metric(tree: LatentTree, weights) -> np.ndarray:
     missing = [e for e in tree.edges if e not in wmap]
     if missing:
         raise ValueError(f"missing weight for edge {missing[0]!r}")
-    m = tree.m
-    delta = np.zeros((m, m))
-    for i, j in itertools.combinations(range(m), 2):
-        d = sum(
-            wmap[e] for e in tree.path_edge_set(tree.observed[i], tree.observed[j])
-        )
-        delta[i, j] = delta[j, i] = d
-    return delta
+    return _path_fold(tree, wmap, operator.add, 0.0)
 
 
 def _as_delta(delta, m: int) -> np.ndarray:
@@ -127,6 +128,18 @@ def check_pseudo_metric(delta, tol: float = DEFAULT_TOL) -> list:
     return out
 
 
+def _flagged(kinds, rows, residuals, tol) -> list:
+    """Violations for the residuals above ``tol`` or NaN, row by row and
+    within a row in ``kinds`` order."""
+    i, j = np.nonzero((residuals > tol) | np.isnan(residuals))
+    return [
+        Violation(kinds[kind], tuple(row), value)
+        for kind, row, value in zip(
+            j.tolist(), rows[i].tolist(), residuals[i, j].tolist()
+        )
+    ]
+
+
 def check_three_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
     """Additivity violations along every observed chain of the tree.
 
@@ -134,17 +147,10 @@ def check_three_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list
     |delta_pq + delta_qr - delta_pr|.
     """
     delta = _as_delta(delta, tree.m)
-    out = []
-    for p, q, r in itertools.combinations(range(tree.m), 3):
-        tri = tree.classify_triple(p, q, r)
-        if tri.kind != "chain":
-            continue
-        mid = tri.middle
-        a, b = (i for i in (p, q, r) if i != mid)
-        res = abs(delta[a, mid] + delta[mid, b] - delta[a, b])
-        if res > tol or math.isnan(res):
-            out.append(Violation("three-point", (a, mid, b), float(res)))
-    return out
+    chains = _classify(tree)[0]
+    a, mid, b = chains.T
+    res = np.abs(delta[a, mid] + delta[mid, b] - delta[a, b])
+    return _flagged(("three-point",), chains, res[:, None], tol)
 
 
 def check_four_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
@@ -156,33 +162,17 @@ def check_four_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
     edge-disjoint, split quadruples exactly one.
     """
     delta = _as_delta(delta, tree.m)
-    out = []
-    for p, q, r, s in itertools.combinations(range(tree.m), 4):
-        qc = tree.classify_quadruple(p, q, r, s)
-        pairings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
-        if qc.kind == "degenerate":
-            empty = pairings
-        else:
-            blocks = {frozenset(b) for b in qc.split}
-            empty = tuple(
-                pr for pr in pairings if {frozenset(pr[0]), frozenset(pr[1])} == blocks
-            )
-        sums = {
-            pr: delta[pr[0][0], pr[0][1]] + delta[pr[1][0], pr[1][1]]
-            for pr in pairings
-        }
-        for pr in empty:
-            (a, b), (c, d) = pr
-            others = [sums[o] for o in pairings if o is not pr]
-            eq_res = abs(others[0] - others[1])
-            if eq_res > tol or math.isnan(eq_res):
-                out.append(Violation("four-point-eq", (a, b, c, d), float(eq_res)))
-            ineq_res = sums[pr] - min(others)
-            if ineq_res > tol or math.isnan(ineq_res):
-                out.append(
-                    Violation("four-point-ineq", (a, b, c, d), float(ineq_res))
-                )
-    return out
+    _, _, quads, pairing = _classify(tree)
+    # one row per edge-disjoint pairing, in quadruple then pairing order
+    row, k = np.nonzero((pairing[:, None] < 0) | (pairing[:, None] == np.arange(3)))
+    sums = _pairing_sums(delta, quads)[row]
+    own = sums[np.arange(len(row)), k]
+    others = np.array([[1, 2], [0, 2], [0, 1]])[k]
+    first, second = np.take_along_axis(sums, others, axis=1).T
+    lower = np.where(second < first, second, first)
+    res = np.stack([np.abs(first - second), own - lower], axis=1)
+    blocks = quads[row[:, None], _PAIRINGS[k]]
+    return _flagged(("four-point-eq", "four-point-ineq"), blocks, res, tol)
 
 
 def is_t_induced(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> MetricReport:

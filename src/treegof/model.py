@@ -11,12 +11,13 @@ experiments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .tree import LatentTree, _norm_edge
+from .tree import LatentTree, _norm_edge, _path_fold
 
 __all__ = [
     "TreeModelParams",
@@ -144,14 +145,7 @@ def covariance_from_tree(params: TreeModelParams) -> np.ndarray:
         if params.node_sd is None
         else np.array([params.node_sd[v] for v in tree.observed])
     )
-    cov = np.diag(sds**2)
-    for i in range(m):
-        for j in range(i + 1, m):
-            rho = 1.0
-            for e in tree.path_edge_set(tree.observed[i], tree.observed[j]):
-                rho *= params.edge_corr[e]
-            cov[i, j] = cov[j, i] = sds[i] * sds[j] * rho
-    return cov
+    return np.outer(sds, sds) * _path_fold(tree, params.edge_corr, operator.mul, 1.0)
 
 
 def covariance_from_factor(params: OneFactorParams) -> np.ndarray:

@@ -7,25 +7,22 @@ classify as chains or stars, observed quadruples as split or degenerate
 configurations, and those classes determine a system of polynomial
 equality and inequality constraints that a covariance matrix satisfies
 exactly when it arises from some Gaussian parameterization of the tree.
+
+Both classes are read off the observed hop-distance matrix (Buneman's
+four-point condition with unit edge weights), and the constraint system
+is held as integer arrays, one row per scalar term.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+
+import numpy as np
 
 __all__ = [
     "TreeError",
     "LatentTree",
-    "TripleClass",
-    "QuadClass",
-    "ChainEquality",
-    "SplitEquality",
-    "DegenerateQuadEquality",
-    "SignInequality",
-    "TriangleBound",
-    "SplitBound",
     "ConstraintSystem",
     "enumerate_constraints",
     "parse_tree",
@@ -112,166 +109,121 @@ class LatentTree:
         self._adj = {v: tuple(ws) for v, ws in adj.items()}
         self.edges = tuple(sorted(edge_list, key=_edge_sort_key))
         self.observed = observed
-        self.nodes = frozenset(nodes)
-        self._paths: dict = {}
 
     @property
     def m(self) -> int:
         return len(self.observed)
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
     def neighbors(self, v) -> tuple:
         return self._adj[v]
 
-    def path_nodes(self, a, b) -> tuple:
-        """Nodes along the unique simple path from ``a`` to ``b``, inclusive."""
-        if a not in self.nodes:
-            raise TreeError(f"unknown node {a!r}")
-        if b not in self.nodes:
-            raise TreeError(f"unknown node {b!r}")
-        if a == b:
-            return (a,)
-        cached = self._paths.get((a, b))
-        if cached is not None:
-            return cached
-        parent = {a: None}
-        queue = [a]
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            if v == b:
-                break
-            for w in self._adj[v]:
-                if w not in parent:
-                    parent[w] = v
+
+def _path_fold(tree: LatentTree, edge_values, op, unit) -> np.ndarray:
+    """Fold per-edge values along every observed-to-observed path.
+
+    Entry (i, j), i < j, is ``op(...op(op(unit, v1), v2)..., vk)`` over
+    the values of the path's edges in walk order from observed node i to
+    observed node j; the matrix is symmetric with ``unit`` on the
+    diagonal.  ``edge_values`` maps normalized edges to values.  Summing
+    ones gives hop counts, summing weights path lengths, multiplying
+    correlations path products.  The fixed order keeps floating-point
+    results independent of string hashing.
+    """
+    m = tree.m
+    out = [[unit] * m for _ in range(m)]
+    for i, src in enumerate(tree.observed):
+        acc = {src: unit}
+        queue = [src]
+        for v in queue:
+            for w in tree.neighbors(v):
+                if w not in acc:
+                    acc[w] = op(acc[v], edge_values[_norm_edge(v, w)])
                     queue.append(w)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
-        out = tuple(path)
-        self._paths[(a, b)] = out
-        self._paths[(b, a)] = tuple(reversed(out))
-        return out
-
-    def path_edges(self, a, b) -> tuple:
-        """Edges along the path from ``a`` to ``b``, oriented in walk order.
-
-        Empty when ``a == b``.
-        """
-        p = self.path_nodes(a, b)
-        return tuple(zip(p, p[1:]))
-
-    def path_edge_set(self, a, b) -> frozenset:
-        """Path edges as normalized pairs, for intersection tests."""
-        return frozenset(_norm_edge(u, v) for u, v in self.path_edges(a, b))
-
-    def restrict(self, subset) -> "LatentTree":
-        """Minimal subtree spanning ``subset`` with outside degree-two
-        nodes suppressed.
-
-        Parameters
-        ----------
-        subset : sequence of observed node ids
-            Becomes the observed order of the result.
-        """
-        subset = tuple(subset)
-        if len(subset) < 2:
-            raise TreeError("restriction needs at least two nodes")
-        if len(set(subset)) != len(subset):
-            raise TreeError("repeated node in restriction subset")
-        obs_set = set(self.observed)
-        for v in subset:
-            if v not in obs_set:
-                raise TreeError(f"{v!r} is not an observed node")
-        keep = set(subset[:1])
-        for v in subset[1:]:
-            keep.update(self.path_nodes(subset[0], v))
-        adjs = {v: {w for w in self._adj[v] if w in keep} for v in keep}
-        members = set(subset)
-        for v in sorted(keep, key=str):
-            if v in members or v not in adjs:
-                continue
-            nb = adjs[v]
-            if len(nb) == 2:
-                x, y = sorted(nb, key=str)
-                adjs[x].discard(v)
-                adjs[y].discard(v)
-                adjs[x].add(y)
-                adjs[y].add(x)
-                del adjs[v]
-        edges = set()
-        for v, ws in adjs.items():
-            for w in ws:
-                edges.add(_norm_edge(v, w))
-        return LatentTree(sorted(edges, key=_edge_sort_key), subset)
-
-    def _obs_id(self, i):
-        if not isinstance(i, int) or not 0 <= i < self.m:
-            raise TreeError(f"observed index {i!r} out of range 0..{self.m - 1}")
-        return self.observed[i]
-
-    def classify_triple(self, p: int, q: int, r: int) -> "TripleClass":
-        """Classify the restriction to three observed variables.
-
-        Indices are positions in the observed order.  Returns a chain with
-        its middle variable when one of the three nodes lies on the path
-        between the other two, otherwise a star.
-        """
-        if len({p, q, r}) != 3:
-            raise TreeError("triple indices must be distinct")
-        ids = [self._obs_id(i) for i in (p, q, r)]
-        for mid_pos, (a, b) in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
-            inner = self.path_nodes(ids[a], ids[b])[1:-1]
-            if ids[mid_pos] in inner:
-                return TripleClass("chain", (p, q, r)[mid_pos])
-        return TripleClass("star", None)
-
-    def classify_quadruple(self, p: int, q: int, r: int, s: int) -> "QuadClass":
-        """Classify the restriction to four observed variables.
-
-        Exactly one of the three pair-of-pairs path intersections is empty
-        for a split configuration; all three are empty for a degenerate
-        one.  No other case can occur in a tree.
-        """
-        if len({p, q, r, s}) != 4:
-            raise TreeError("quadruple indices must be distinct")
-        pairings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
-        empty = []
-        for (a, b), (c, d) in pairings:
-            e1 = self.path_edge_set(self._obs_id(a), self._obs_id(b))
-            e2 = self.path_edge_set(self._obs_id(c), self._obs_id(d))
-            if not e1 & e2:
-                empty.append(((a, b), (c, d)))
-        if len(empty) == 3:
-            return QuadClass("degenerate", None)
-        if len(empty) == 1:
-            return QuadClass("split", _norm_split(*empty[0]))
-        raise TreeError(
-            "quadruple path pairings gave %d empty intersections; "
-            "a tree admits one or three" % len(empty)
-        )
+        for j in range(i + 1, m):
+            out[i][j] = out[j][i] = acc[tree.observed[j]]
+    return np.array(out)
 
 
-def _norm_split(block1, block2):
-    b1 = tuple(sorted(block1))
-    b2 = tuple(sorted(block2))
-    return (b1, b2) if b1[0] < b2[0] else (b2, b1)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) as a sorted row, in lexicographic order."""
+    rows = np.arange(m, dtype=np.intp)[:, None]
+    for _ in range(k - 1):
+        grow = m - 1 - rows[:, -1]
+        prev = np.repeat(rows, grow, axis=0)
+        offset = np.arange(len(prev)) - np.repeat(np.cumsum(grow) - grow, grow)
+        rows = np.hstack([prev, (prev[:, -1] + 1 + offset)[:, None]])
+    return rows
 
 
-@dataclass(frozen=True)
-class TripleClass:
-    kind: str  # "star" or "chain"
-    middle: Optional[int]
+# the pairings p q|r s, p r|q s and p s|q r of a sorted quadruple, as
+# column positions (block 1, block 2)
+_PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
 
 
-@dataclass(frozen=True)
-class QuadClass:
-    kind: str  # "split" or "degenerate"
-    split: Optional[tuple]
+def _pairing_sums(d: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """d_ab + d_cd for the three pairings ab|cd of every quadruple row."""
+    q = quads[:, _PAIRINGS]
+    return d[q[..., 0], q[..., 1]] + d[q[..., 2], q[..., 3]]
+
+
+def _classify(tree: LatentTree):
+    """Chain/star class of every observed triple and split/degenerate
+    class of every observed quadruple.
+
+    With unit edge weights, a triple is a chain with middle q exactly
+    when d_pq + d_qr = d_pr, and a quadruple is a split exactly when one
+    pairing sum is strictly smallest (that pairing's two paths share no
+    edge); it is degenerate when all three sums agree.
+
+    Returns
+    -------
+    chains : (c, 3) rows (a, middle, b) with a < b
+    stars : (t, 3) sorted rows
+    quads : (C(m, 4), 4) sorted rows, lexicographic
+    pairing : per quadruple, the index into ``_PAIRINGS`` of its split,
+        or -1 when degenerate
+
+    Chains, stars and quadruples each follow lexicographic order.
+    """
+    hops = _path_fold(tree, dict.fromkeys(tree.edges, 1), operator.add, 0)
+    tri = _combinations(tree.m, 3)
+    p, q, r = tri.T
+    is_mid = np.stack(
+        [
+            hops[q, p] + hops[p, r] == hops[q, r],
+            hops[p, q] + hops[q, r] == hops[p, r],
+            hops[p, r] + hops[r, q] == hops[p, q],
+        ],
+        axis=1,
+    )
+    chain = is_mid.any(axis=1)
+    order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
+    chains = np.take_along_axis(tri, order, axis=1)[chain]
+    quads = _combinations(tree.m, 4)
+    sums = _pairing_sums(hops, quads)
+    lowest = sums == sums.min(axis=1, keepdims=True)
+    pairing = np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
+    return chains, tri[~chain], quads, pairing
+
+
+# kind codes: equalities first, each side in listing rank
+KINDS = ("chain", "split", "tetrad", "sign", "triangle-bound", "split-bound")
+CHAIN, SPLIT, TETRAD, SIGN, TRIANGLE, SPLIT_BOUND = range(len(KINDS))
+
+# polynomial text of a term from its index row (a, b, c, d), given the
+# s_ij names: tetrad forms s_ab*s_cd - s_ad*s_cb, their squared bounds,
+# and the negated triple product over (a, b, c)
+_POLYNOMIALS = (
+    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[c][b]}*{s[a][d]}",
+    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[a][d]}*{s[c][b]}",
+    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[a][d]}*{s[c][b]}",
+    lambda s, a, b, c, d: f"-{s[a][b]}*{s[a][c]}*{s[b][c]}",
+    lambda s, a, b, c, d: f"{s[a][b]}^2*{s[c][d]}^2 - {s[c][b]}^2*{s[a][d]}^2",
+    lambda s, a, b, c, d: f"{s[a][b]}^2*{s[c][d]}^2 - {s[a][d]}^2*{s[c][b]}^2",
+)
+
+
+_ROW_BLOCK = 4096
 
 
 def _sym(i: int, j: int) -> str:
@@ -283,231 +235,88 @@ def _sym(i: int, j: int) -> str:
     return f"s{a}_{b}"
 
 
-@dataclass(frozen=True)
-class ChainEquality:
-    """Along an observed chain a - mid - b, the product of the two hop
-    covariances equals the middle variance times the end-to-end covariance.
-    """
-
-    indices: tuple
-    middle: int
-    kind: ClassVar[str] = "chain"
-
-    @property
-    def outer(self) -> tuple:
-        return tuple(i for i in self.indices if i != self.middle)
-
-    def column_pairs(self):
-        a, b = self.outer
-        return [((a, self.middle), (self.middle, b))]
-
-    def residuals(self, cov):
-        a, b = self.outer
-        mid = self.middle
-        return [cov[a, mid] * cov[mid, b] - cov[mid, mid] * cov[a, b]]
-
-    def polynomials(self):
-        a, b = self.outer
-        mid = self.middle
-        return [
-            f"{_sym(a, mid)}*{_sym(mid, b)} - {_sym(mid, mid)}*{_sym(a, b)}"
-        ]
-
-
-@dataclass(frozen=True)
-class SplitEquality:
-    """The two cross covariance products across a quadruple split agree."""
-
-    blocks: tuple  # ((a, b), (c, d)) with blocks sorted, min-first
-
-    kind: ClassVar[str] = "split"
-
-    @property
-    def indices(self) -> tuple:
-        (a, b), (c, d) = self.blocks
-        return tuple(sorted((a, b, c, d)))
-
-    def column_pairs(self):
-        (a, b), (c, d) = self.blocks
-        return [((a, c), (b, d))]
-
-    def residuals(self, cov):
-        (a, b), (c, d) = self.blocks
-        return [cov[a, c] * cov[b, d] - cov[a, d] * cov[b, c]]
-
-    def polynomials(self):
-        (a, b), (c, d) = self.blocks
-        return [f"{_sym(a, c)}*{_sym(b, d)} - {_sym(a, d)}*{_sym(b, c)}"]
-
-
-@dataclass(frozen=True)
-class DegenerateQuadEquality:
-    """Both independent 2x2 covariance minors of a degenerate quadruple
-    vanish.  Expands to two scalar tetrad constraints.
-    """
-
-    indices: tuple  # (p, q, r, s) sorted
-
-    kind: ClassVar[str] = "tetrad"
-
-    def column_pairs(self):
-        p, q, r, s = self.indices
-        return [((p, s), (q, r)), ((p, q), (s, r))]
-
-    def residuals(self, cov):
-        p, q, r, s = self.indices
-        return [
-            cov[p, s] * cov[q, r] - cov[p, r] * cov[q, s],
-            cov[p, q] * cov[s, r] - cov[p, r] * cov[q, s],
-        ]
-
-    def polynomials(self):
-        p, q, r, s = self.indices
-        return [
-            f"{_sym(p, s)}*{_sym(q, r)} - {_sym(p, r)}*{_sym(q, s)}",
-            f"{_sym(p, q)}*{_sym(r, s)} - {_sym(p, r)}*{_sym(q, s)}",
-        ]
-
-
-@dataclass(frozen=True)
-class SignInequality:
-    """The product of the three covariances of any triple is nonnegative.
-
-    Stored in less-than form: ``-s_pq*s_pr*s_qr <= 0``.
-    """
-
-    indices: tuple  # (p, q, r) sorted
-
-    kind: ClassVar[str] = "sign"
-
-    def monomial_triple(self) -> tuple:
-        return self.indices
-
-    def values(self, cov):
-        p, q, r = self.indices
-        return [-(cov[p, q] * cov[p, r] * cov[q, r])]
-
-    def polynomials(self):
-        p, q, r = self.indices
-        return [f"-{_sym(p, q)}*{_sym(p, r)}*{_sym(q, r)}"]
-
-
-@dataclass(frozen=True)
-class TriangleBound:
-    """Squared two-hop covariance product through a pivot is bounded by the
-    pivot variance squared times the squared direct covariance.
-
-    Emitted for star triples only; on a chain the middle pivot holds with
-    equality and the other two follow from it.
-    """
-
-    indices: tuple  # (p, q, r) sorted
-    pivot: int
-
-    kind: ClassVar[str] = "triangle-bound"
-
-    def values(self, cov):
-        a, b = (i for i in self.indices if i != self.pivot)
-        piv = self.pivot
-        return [
-            cov[a, piv] ** 2 * cov[piv, b] ** 2
-            - cov[piv, piv] ** 2 * cov[a, b] ** 2
-        ]
-
-    def polynomials(self):
-        a, b = (i for i in self.indices if i != self.pivot)
-        piv = self.pivot
-        return [
-            f"{_sym(a, piv)}^2*{_sym(piv, b)}^2"
-            f" - {_sym(piv, piv)}^2*{_sym(a, b)}^2"
-        ]
-
-
-@dataclass(frozen=True)
-class SplitBound:
-    """Squared cross products across a split are bounded by the squared
-    within-block products."""
-
-    blocks: tuple
-
-    kind: ClassVar[str] = "split-bound"
-
-    @property
-    def indices(self) -> tuple:
-        (a, b), (c, d) = self.blocks
-        return tuple(sorted((a, b, c, d)))
-
-    def values(self, cov):
-        (a, b), (c, d) = self.blocks
-        return [
-            cov[a, c] ** 2 * cov[b, d] ** 2
-            - cov[a, b] ** 2 * cov[c, d] ** 2
-        ]
-
-    def polynomials(self):
-        (a, b), (c, d) = self.blocks
-        return [
-            f"{_sym(a, c)}^2*{_sym(b, d)}^2"
-            f" - {_sym(a, b)}^2*{_sym(c, d)}^2"
-        ]
-
-
-_EQ_RANK = {"chain": 0, "split": 1, "tetrad": 2}
-_INEQ_RANK = {"sign": 0, "triangle-bound": 1, "split-bound": 2}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Complete constraint lists for one latent tree, in canonical order.
+    """Scalar constraint terms of one latent tree, in canonical order.
 
-    Ordering is lexicographic over the sorted variable-index tuples with
-    ties broken by constraint kind; one constraint object may expand to
-    several scalar terms (a degenerate quadruple carries two tetrads).
+    ``kinds[t]`` is the code of term t (a position in ``KINDS``) and
+    ``index[t]`` its four variable indices (a, b, c, d):
+
+    - chain, split and tetrad equalities: s_ab*s_cd - s_ad*s_cb = 0; a
+      chain with middle q is (a, q, q, b), a split ab|cd is (a, c, b, d),
+      and a degenerate quadruple p<q<r<s gives (p, s, q, r) and
+      (p, q, s, r);
+    - triangle and split bounds: s_ab^2*s_cd^2 - s_ad^2*s_cb^2 <= 0; a
+      star triple gives (a, v, v, b) per pivot v, a split ab|cd gives
+      (a, c, d, b);
+    - sign: (p, q, r, -1), with -s_pq*s_pr*s_qr <= 0.
+
+    Equalities come first; each side is ordered by the term's sorted
+    variable tuple, then by kind, then by pivot (the middle, last and
+    first variable of a star triple) or tetrad order.
     """
 
     m: int
-    equalities: tuple
-    inequalities: tuple
-
-    def equality_residuals(self, cov) -> list:
-        out = []
-        for c in self.equalities:
-            out.extend(c.residuals(cov))
-        return out
-
-    def inequality_values(self, cov) -> list:
-        """Less-than forms; each entry should be <= 0 on-model."""
-        out = []
-        for c in self.inequalities:
-            out.extend(c.values(cov))
-        return out
-
-    def equality_column_pairs(self) -> list:
-        """(rows, cols) index pairs of the difference estimator columns."""
-        out = []
-        for c in self.equalities:
-            out.extend(c.column_pairs())
-        return out
-
-    def sign_triples(self) -> list:
-        return [c.monomial_triple() for c in self.inequalities if c.kind == "sign"]
+    kinds: np.ndarray
+    index: np.ndarray
 
     @property
     def n_equality_terms(self) -> int:
-        return len(self.equality_column_pairs())
+        return int(np.count_nonzero(self.kinds < SIGN))
 
     @property
     def n_inequality_terms(self) -> int:
-        return sum(len(c.polynomials()) for c in self.inequalities)
+        return len(self.kinds) - self.n_equality_terms
+
+    def equality_column_pairs(self) -> np.ndarray:
+        """(k, 4) rows (a, b, c, d), one per equality term, each standing
+        for s_ab*s_cd - s_ad*s_cb."""
+        return self.index[: self.n_equality_terms]
+
+    def sign_triples(self) -> np.ndarray:
+        """(p, q, r) rows of the sign inequalities, in canonical order."""
+        return self.index[self.kinds == SIGN, :3]
+
+    def equality_residuals(self, cov) -> np.ndarray:
+        """Equality polynomials evaluated on a symmetric matrix."""
+        cov = np.asarray(cov, dtype=float)
+        a, b, c, d = self.equality_column_pairs().T
+        return cov[a, b] * cov[c, d] - cov[a, d] * cov[c, b]
+
+    def inequality_values(self, cov) -> np.ndarray:
+        """Less-than forms on a symmetric matrix; each entry should be
+        <= 0 on-model."""
+        cov = np.asarray(cov, dtype=float)
+        n_eq = self.n_equality_terms
+        sign = self.kinds[n_eq:] == SIGN
+        rows = self.index[n_eq:]
+        out = np.empty(len(rows))
+        p, q, r, _ = rows[sign].T
+        out[sign] = -(cov[p, q] * cov[p, r] * cov[q, r])
+        a, b, c, d = rows[~sign].T
+        out[~sign] = cov[a, b] ** 2 * cov[c, d] ** 2 - cov[a, d] ** 2 * cov[c, b] ** 2
+        return out
 
     def scalar_rows(self):
-        """(side, kind, indices, polynomial) per scalar term, for listings."""
-        for c in self.equalities:
-            for poly in c.polynomials():
-                yield ("equality", c.kind, c.indices, poly)
-        for c in self.inequalities:
-            for poly in c.polynomials():
-                yield ("inequality", c.kind, c.indices, poly)
+        """(side, kind, indices, polynomial) per scalar term, for listings;
+        ``indices`` are the term's sorted variables."""
+        sym = [[_sym(i, j) for j in range(self.m)] for i in range(self.m)]
+        # in blocks, so that no Python list spans the whole system
+        for start in range(0, len(self.kinds), _ROW_BLOCK):
+            kinds = self.kinds[start : start + _ROW_BLOCK]
+            index = self.index[start : start + _ROW_BLOCK]
+            variables = np.sort(index, axis=1)
+            # a three-variable term repeats a variable or pads with -1:
+            # move that slot last and cut it off
+            spare = np.c_[variables[:, :1] < 0, variables[:, 1:] == variables[:, :-1]]
+            variables[spare] = self.m
+            variables.sort(axis=1)
+            width = 4 - spare.sum(axis=1)
+            for kind, row, var, w in zip(
+                kinds.tolist(), index.tolist(), variables.tolist(), width.tolist()
+            ):
+                side = "equality" if kind < SIGN else "inequality"
+                yield (side, KINDS[kind], tuple(var[:w]), _POLYNOMIALS[kind](sym, *row))
 
 
 def enumerate_constraints(tree: LatentTree) -> ConstraintSystem:
@@ -523,30 +332,36 @@ def enumerate_constraints(tree: LatentTree) -> ConstraintSystem:
     TreeError
         If fewer than three observed variables.
     """
-    m = tree.m
-    if m < 3:
+    if tree.m < 3:
         raise TreeError("constraint enumeration needs at least 3 observed nodes")
-    eqs = []
-    ineqs = []
-    for p, q, r in itertools.combinations(range(m), 3):
-        tri = tree.classify_triple(p, q, r)
-        ineqs.append(SignInequality((p, q, r)))
-        if tri.kind == "chain":
-            eqs.append(ChainEquality((p, q, r), tri.middle))
-        else:
-            for piv in (q, r, p):
-                ineqs.append(TriangleBound((p, q, r), piv))
-    if m >= 4:
-        for quad in itertools.combinations(range(m), 4):
-            qc = tree.classify_quadruple(*quad)
-            if qc.kind == "split":
-                eqs.append(SplitEquality(qc.split))
-                ineqs.append(SplitBound(qc.split))
-            else:
-                eqs.append(DegenerateQuadEquality(quad))
-    eqs.sort(key=lambda c: (c.indices, _EQ_RANK[c.kind]))
-    ineqs.sort(key=lambda c: (c.indices, _INEQ_RANK[c.kind]))
-    return ConstraintSystem(m, tuple(eqs), tuple(ineqs))
+    chains, stars, quads, pairing = _classify(tree)
+    # sort keys of three-variable terms: the sorted triple, then -1
+    chain_key = np.c_[np.sort(chains, axis=1), np.full(len(chains), -1)]
+    star_key = np.c_[stars, np.full(len(stars), -1)]
+    split, degenerate = quads[pairing >= 0], quads[pairing < 0]
+    # blocks ab|cd of each split, min-first
+    a, b, c, d = np.take_along_axis(split, _PAIRINGS[pairing[pairing >= 0]], axis=1).T
+    p, q, r = stars.T
+    w, x, y, z = degenerate.T
+    # (kind, tie-break, index rows, sort key) per family of terms
+    families = [
+        (CHAIN, 0, chains[:, [0, 1, 1, 2]], chain_key),
+        (SIGN, 0, chain_key, chain_key),
+        (SIGN, 0, star_key, star_key),
+        (SPLIT, 0, np.c_[a, c, b, d], split),
+        (SPLIT_BOUND, 0, np.c_[a, c, d, b], split),
+        (TRIANGLE, 0, np.c_[p, q, q, r], star_key),
+        (TRIANGLE, 1, np.c_[p, r, r, q], star_key),
+        (TRIANGLE, 2, np.c_[q, p, p, r], star_key),
+        (TETRAD, 0, np.c_[w, z, x, y], degenerate),
+        (TETRAD, 1, np.c_[w, x, z, y], degenerate),
+    ]
+    kinds = np.concatenate([np.full(len(f[3]), f[0], dtype=np.int8) for f in families])
+    subs = np.concatenate([np.full(len(f[3]), f[1]) for f in families])
+    index = np.concatenate([f[2] for f in families])
+    keys = np.concatenate([f[3] for f in families])
+    order = np.lexsort((subs, kinds, *keys.T[::-1], kinds >= SIGN))
+    return ConstraintSystem(tree.m, kinds[order], index[order])
 
 
 def parse_tree(text: str) -> LatentTree:

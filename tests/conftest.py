@@ -17,11 +17,15 @@ random_latent_tree draws a uniform labeled tree from its sequence
 encoding, forces degree <= 2 nodes to be observed, promotes higher-degree
 nodes with probability one half, and rejects until the observed count
 lands in the requested range.
+
+reference_classes classifies observed triples and quadruples by walking
+paths, independently of the package's distance-based classification.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
 import numpy as np
 
@@ -87,3 +91,51 @@ def random_latent_tree(rng: np.random.Generator, m_lo=3, m_hi=6, n_hi=10):
             continue
         str_edges = [(str(a), str(b)) for a, b in edges]
         return LatentTree(str_edges, [str(v) for v in observed])
+
+
+def _path(tree: LatentTree, a, b) -> list:
+    """Nodes of the path from ``a`` to ``b``, both included."""
+    parent = {a: None}
+    queue = [a]
+    for v in queue:
+        for w in tree.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path
+
+
+def reference_classes(tree: LatentTree):
+    """Chains and splits of the observed variables, by the path rule.
+
+    A triple is a chain when one of its nodes lies inside the path
+    between the other two; a quadruple is a split when exactly one of
+    its three pairings has edge-disjoint paths, and degenerate when all
+    three do.  Returns ``{sorted triple: middle}`` over the chains and
+    ``{sorted quadruple: blocks or None}`` with split blocks as two
+    sorted pairs, the one holding the smallest index first.
+    """
+    ids = tree.observed
+    paths = {}
+    for i, j in itertools.combinations(range(tree.m), 2):
+        nodes = _path(tree, ids[i], ids[j])
+        paths[i, j] = (set(nodes[1:-1]), {frozenset(e) for e in zip(nodes, nodes[1:])})
+    chains = {}
+    for tri in itertools.combinations(range(tree.m), 3):
+        for mid in tri:
+            a, b = (i for i in tri if i != mid)
+            if ids[mid] in paths[a, b][0]:
+                chains[tri] = mid
+    quads = {}
+    for p, q, r, s in itertools.combinations(range(tree.m), 4):
+        disjoint = [
+            blocks
+            for blocks in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
+            if not paths[blocks[0]][1] & paths[blocks[1]][1]
+        ]
+        assert len(disjoint) in (1, 3)
+        quads[p, q, r, s] = disjoint[0] if len(disjoint) == 1 else None
+    return chains, quads

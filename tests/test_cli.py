@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import treegof
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
 from treegof.model import sample
@@ -143,6 +145,34 @@ def test_generate_from_tree_params(tmp_path, capsys):
     # population values: cov(a,b) = 2*1*0.8, cov(a,c) = 2*1.5*0.4
     assert cov[0, 1] == pytest.approx(1.6, abs=0.05)
     assert cov[0, 2] == pytest.approx(1.2, abs=0.05)
+
+
+def test_generate_from_tree_ignores_hash_seed(tmp_path):
+    # path products over a frozenset of edges used to follow string hash
+    # order, so the bytes changed with PYTHONHASHSEED
+    tree = tmp_path / "spine.tree"
+    spine = [f"v{i}" for i in range(1, 9)]
+    edges = [f"EDGE {a} {b}" for a, b in zip(spine, spine[1:])]
+    edges += [f"EDGE {v} l{v}" for v in spine[1:-1]]
+    observed = spine + [f"l{v}" for v in spine[1:-1]]
+    tree.write_text("\n".join(edges + [f"OBS {v}" for v in observed]) + "\n")
+    corr = np.linspace(0.71, 0.97, len(edges)).tolist()
+    params = tmp_path / "params.txt"
+    params.write_text("".join(
+        f"CORR {line.split()[1]} {line.split()[2]} {rho!r}\n"
+        for line, rho in zip(edges, corr)
+    ))
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treegof.cli", "generate", "--tree", str(tree),
+             "--params", str(params), "--n", "20", "--seed", "5"],
+            capture_output=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_params_missing_edge(tmp_path, capsys):
@@ -367,6 +397,17 @@ def test_check_metric_verdicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t-induced: no" in out
     assert "four-point" in out
+
+
+def test_header_only_csv_fails_cleanly(tmp_path, capsys):
+    tree_path = star_file(tmp_path, 4)
+    data = tmp_path / "header.csv"
+    data.write_text("x3,x1,x4,x2\n", encoding="utf-8")
+    for command in ("check-metric", "test"):
+        assert main([command, "--tree", str(tree_path), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no data rows" in err
+        assert "Traceback" not in err
 
 
 def test_check_metric_requires_square(tmp_path, capsys):

@@ -247,8 +247,8 @@ def test_plugin_tetrads_match_definition():
     x = np.random.default_rng(9).standard_normal((50, 5))
     tau = plugin_tetrads(x, sys)
     s = x.T @ x / 50
-    for k, pair in enumerate(sys.equality_column_pairs()):
-        idx = TetradIndex(pair[0], pair[1])
+    for k, row in enumerate(sys.equality_column_pairs().tolist()):
+        idx = TetradIndex(tuple(row[:2]), tuple(row[2:]))
         assert tau[k] == pytest.approx(tetrad_value(s, idx))
 
 
@@ -277,7 +277,7 @@ def test_tetrad_values_relabel_entrywise():
     for perm in ([1, 0, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
         perm = np.array(perm)
         s_perm = s[np.ix_(perm, perm)]
-        for (a_, b_), (c_, d_) in sys.equality_column_pairs():
+        for a_, b_, c_, d_ in sys.equality_column_pairs().tolist():
             got = tetrad_value(s_perm, TetradIndex((a_, b_), (c_, d_)))
             pa, pb, pc, pd = perm[a_], perm[b_], perm[c_], perm[d_]
             expected = s[pa, pb] * s[pc, pd] - s[pa, pd] * s[pc, pb]
@@ -298,9 +298,9 @@ def test_reversal_relabeling_permutes_plugin_values():
     orig = plugin_tetrads(x, sys)
     flipped = plugin_tetrads(x[:, ::-1], sys)
 
-    pairs = sys.equality_column_pairs()
-    pos = {p[0] + p[1]: k for k, p in enumerate(pairs)}
-    for k, ((a, b), (c, d)) in enumerate(pairs):
+    pairs = sys.equality_column_pairs().tolist()
+    pos = {tuple(p): k for k, p in enumerate(pairs)}
+    for k, (a, b, c, d) in enumerate(pairs):
         mapped = TetradIndex((m - 1 - a, m - 1 - b), (m - 1 - c, m - 1 - d))
         target = pos[mapped.rows + mapped.cols]
         assert flipped[k] == pytest.approx(orig[target], rel=1e-12)

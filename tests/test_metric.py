@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     inner_node_tree,
     observed_chain,
     random_latent_tree,
+    reference_classes,
     star_tree,
 )
 from treegof.metric import (
@@ -24,6 +26,7 @@ from treegof.metric import (
     induced_metric,
     is_t_induced,
 )
+from treegof.tree import SPLIT, enumerate_constraints
 
 
 def unit_weights(tree):
@@ -203,6 +206,47 @@ def test_enumerate_splits_caterpillar_central_edge():
     assert len(splits) == 5
 
 
+def _reference_point_violations(delta, tree, tol=1e-9):
+    """The three- and four-point checks as loops over the path-rule
+    classes, as (kind, indices, residual text) in report order."""
+    chains, quads = reference_classes(tree)
+    out = []
+    for tri, mid in chains.items():
+        a, b = (i for i in tri if i != mid)
+        res = abs(delta[a, mid] + delta[mid, b] - delta[a, b])
+        if res > tol or math.isnan(res):
+            out.append(("three-point", (a, mid, b), repr(float(res))))
+    for (p, q, r, s), split in quads.items():
+        pairings = (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r)))
+        sums = [delta[a, b] + delta[c, d] for (a, b), (c, d) in pairings]
+        for k, ((a, b), (c, d)) in enumerate(pairings):
+            if split is not None and split != pairings[k]:
+                continue
+            others = [sums[o] for o in range(3) if o != k]
+            for kind, res in (
+                ("four-point-eq", abs(others[0] - others[1])),
+                ("four-point-ineq", sums[k] - min(others)),
+            ):
+                if res > tol or math.isnan(res):
+                    out.append((kind, (a, b, c, d), repr(float(res))))
+    return out
+
+
+def test_point_checks_match_reference_loops():
+    rng = np.random.default_rng(2718)
+    for _ in range(20):
+        tree = random_latent_tree(rng, m_lo=4, m_hi=8, n_hi=12)
+        on_model = induced_metric(tree, random_weights(tree, rng))
+        off_model = rng.uniform(0.0, 2.0, size=(tree.m, tree.m))
+        off_model[0, -1] = np.nan
+        for delta in (on_model, off_model + off_model.T):
+            got = [
+                (v.kind, v.indices, repr(v.residual))
+                for v in check_three_point(delta, tree) + check_four_point(delta, tree)
+            ]
+            assert got == _reference_point_violations(delta, tree)
+
+
 def test_singleton_split_matches_distance_condition():
     # a variable separates from the rest by one edge cut exactly when it
     # is never interior: delta_pq + delta_pr - delta_qr > 0 for all q, r
@@ -210,30 +254,17 @@ def test_singleton_split_matches_distance_condition():
     for _ in range(20):
         tree = random_latent_tree(rng, m_lo=4, m_hi=6)
         delta = induced_metric(tree, random_weights(tree, rng, lo=0.2, hi=1.5))
-        m = tree.m
-        subset = sorted(
-            rng.choice(m, size=int(rng.integers(3, m + 1)), replace=False)
-        )
-        sub_tree = tree.restrict([tree.observed[i] for i in subset])
-        splits = enumerate_splits(sub_tree)
-        for local_p, orig_p in enumerate(subset):
-            rest = [i for i in subset if i != orig_p]
+        splits = enumerate_splits(tree)
+        for p in range(tree.m):
+            rest = tuple(i for i in range(tree.m) if i != p)
             # margin separates true gaps (>= 2 * min weight) from the
             # exact zeros of interior nodes, which roundoff can tip
             condition = all(
-                delta[orig_p, q] + delta[orig_p, r] - delta[q, r] > 1e-9
+                delta[p, q] + delta[p, r] - delta[q, r] > 1e-9
                 for q, r in itertools.combinations(rest, 2)
             )
-            block = ((local_p,), tuple(i for i in range(len(subset)) if i != local_p))
-            has_split = block in splits or (block[1], block[0]) in splits
-            if len(subset) == 3:
-                # with three nodes both orderings of blocks occur
-                has_split = any(
-                    frozenset((frozenset(a), frozenset(b))) ==
-                    frozenset((frozenset(block[0]), frozenset(block[1])))
-                    for a, b in splits
-                )
-            assert has_split == condition, (tree.edges, subset, orig_p)
+            has_split = ((p,), rest) in splits or (rest, (p,)) in splits
+            assert has_split == condition, (tree.edges, p)
 
 
 def test_pair_split_matches_four_point_strictness():
@@ -241,11 +272,11 @@ def test_pair_split_matches_four_point_strictness():
     for _ in range(20):
         tree = random_latent_tree(rng, m_lo=4, m_hi=6)
         delta = induced_metric(tree, random_weights(tree, rng, lo=0.2, hi=1.5))
-        ids = tree.observed
+        system = enumerate_constraints(tree)
+        # split rows are (a, c, b, d) for the blocks ab|cd
+        splits = {tuple(row) for row in system.index[system.kinds == SPLIT].tolist()}
         for p, q, r, s in itertools.combinations(range(tree.m), 4):
-            sub = tree.restrict([ids[p], ids[q], ids[r], ids[s]])
-            splits = enumerate_splits(sub)
-            has_pair_split = ((0, 1), (2, 3)) in splits
+            has_pair_split = (p, r, q, s) in splits
             cond = (
                 delta[p, q] + delta[r, s] < delta[p, r] + delta[q, s] - 1e-9
                 and delta[p, q] + delta[r, s] < delta[p, s] + delta[q, r] - 1e-9

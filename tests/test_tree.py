@@ -3,26 +3,28 @@
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    _path,
     caterpillar,
     inner_node_tree,
     observed_chain,
     random_latent_tree,
+    reference_classes,
     star_tree,
 )
 from treegof.tree import (
-    ChainEquality,
-    DegenerateQuadEquality,
+    KINDS,
     LatentTree,
-    SignInequality,
-    SplitBound,
-    SplitEquality,
     TreeError,
-    TriangleBound,
+    _path_fold,
     enumerate_constraints,
     parse_tree,
 )
@@ -57,196 +59,196 @@ def test_rejects_repeated_observed_label():
         LatentTree([("a", "b")], ["a", "a"])
 
 
+def _walks(tree):
+    """Every observed-to-observed path as its edges in walk order."""
+    labels = {e: f"{e[0]}{e[1]} " for e in tree.edges}
+    return _path_fold(tree, labels, operator.add, "")
+
+
 def test_path_edges_through_hub():
-    t = star_tree(3)
-    assert t.path_edges("x1", "x3") == (("x1", "h"), ("h", "x3"))
-    assert t.path_edges("x1", "x1") == ()
-    assert t.path_nodes("x2", "x3") == ("x2", "h", "x3")
+    walks = _walks(star_tree(3))
+    assert walks[0, 2] == walks[2, 0] == "hx1 hx3 "
+    assert walks[1, 2] == "hx2 hx3 "
+    assert walks[0, 0] == ""
 
 
 def test_path_edges_along_chain():
-    t = observed_chain(4)
-    assert t.path_edges("1", "4") == (("1", "2"), ("2", "3"), ("3", "4"))
-    assert t.path_edges("4", "2") == (("4", "3"), ("3", "2"))
+    walks = _walks(observed_chain(4))
+    assert walks[0, 3] == "12 23 34 "
+    # folded from the smaller observed index on both sides of the diagonal
+    assert walks[3, 1] == walks[1, 3] == "23 34 "
 
 
-def test_restrict_star_keeps_hub():
-    t = star_tree(5)
-    r = t.restrict(["x1", "x2", "x3"])
-    assert set(r.edges) == {("h", "x1"), ("h", "x2"), ("h", "x3")}
-    assert r.observed == ("x1", "x2", "x3")
+def _terms(system):
+    """(kind, index row) per scalar term, in canonical order."""
+    return [
+        (KINDS[k], tuple(row))
+        for k, row in zip(system.kinds.tolist(), system.index.tolist())
+    ]
 
 
-def test_restrict_caterpillar_merges_hubs():
-    r = caterpillar().restrict(["1", "3", "2"])
-    assert set(r.edges) == {("1", "5"), ("3", "5"), ("2", "5")}
-    assert r.observed == ("1", "3", "2")
+def _chains(system):
+    """{sorted triple: middle} read from the chain rows (a, q, q, b)."""
+    return {
+        tuple(sorted((a, q, b))): q
+        for kind, (a, q, _, b) in _terms(system)
+        if kind == "chain"
+    }
 
 
-def test_restrict_chain_to_endpoints_gives_single_edge():
-    r = observed_chain(4).restrict(["1", "4"])
-    assert r.edges == (("1", "4"),)
-    assert r.observed == ("1", "4")
-
-
-def test_restrict_rejects_bad_subsets():
-    t = star_tree(4)
-    with pytest.raises(TreeError, match="at least two"):
-        t.restrict(["x1"])
-    with pytest.raises(TreeError, match="not an observed"):
-        t.restrict(["x1", "h"])
-    with pytest.raises(TreeError, match="repeated"):
-        t.restrict(["x1", "x1"])
+def _splits(system):
+    """{sorted quadruple: blocks} read from the split rows (a, c, b, d)
+    of the blocks ab|cd."""
+    return {
+        tuple(sorted(row)): ((row[0], row[2]), (row[1], row[3]))
+        for kind, row in _terms(system)
+        if kind == "split"
+    }
 
 
 def test_classify_triple_star_and_chain():
-    star = star_tree(4)
-    assert star.classify_triple(0, 1, 2).kind == "star"
+    assert _chains(enumerate_constraints(star_tree(4))) == {}
+    assert _chains(enumerate_constraints(observed_chain(3))) == {(0, 1, 2): 1}
 
-    chain = observed_chain(3)
-    tri = chain.classify_triple(0, 1, 2)
-    assert tri.kind == "chain"
-    assert tri.middle == 1
-
-    # middle detection does not depend on argument order
-    tri = chain.classify_triple(2, 0, 1)
-    assert tri.kind == "chain"
-    assert tri.middle == 1
+    # middle detection does not depend on the observed order
+    relabelled = LatentTree(observed_chain(3).edges, ["3", "1", "2"])
+    assert _chains(enumerate_constraints(relabelled)) == {(0, 1, 2): 2}
 
 
 def test_classify_triple_inner_observed_node():
-    t = inner_node_tree()
-    assert t.classify_triple(0, 1, 2).kind == "star"
-    tri = t.classify_triple(0, 2, 3)
-    assert tri.kind == "chain"
-    assert tri.middle == 3
-
-
-def test_classify_triple_rejects_duplicates_and_range():
-    t = star_tree(4)
-    with pytest.raises(TreeError, match="distinct"):
-        t.classify_triple(0, 0, 1)
-    with pytest.raises(TreeError, match="out of range"):
-        t.classify_triple(0, 1, 7)
+    system = enumerate_constraints(inner_node_tree())
+    chains = _chains(system)
+    assert (0, 1, 2) not in chains
+    assert chains[(0, 2, 3)] == 3
 
 
 def test_classify_quadruple_star_is_degenerate():
-    qc = star_tree(4).classify_quadruple(0, 1, 2, 3)
-    assert qc.kind == "degenerate"
-    assert qc.split is None
+    system = enumerate_constraints(star_tree(4))
+    assert _splits(system) == {}
+    assert [row for kind, row in _terms(system) if kind == "tetrad"] == [
+        (0, 3, 1, 2),
+        (0, 1, 3, 2),
+    ]
 
 
 def test_classify_quadruple_caterpillar_split():
-    qc = caterpillar().classify_quadruple(0, 1, 2, 3)
-    assert qc.kind == "split"
-    assert qc.split == ((0, 2), (1, 3))
+    assert _splits(enumerate_constraints(caterpillar())) == {
+        (0, 1, 2, 3): ((0, 2), (1, 3))
+    }
 
 
 def test_classify_quadruple_chain_split():
-    qc = observed_chain(4).classify_quadruple(0, 1, 2, 3)
-    assert qc.kind == "split"
-    assert qc.split == ((0, 1), (2, 3))
+    assert _splits(enumerate_constraints(observed_chain(4))) == {
+        (0, 1, 2, 3): ((0, 1), (2, 3))
+    }
 
 
-def test_classified_split_matches_direct_path_check():
-    rng = np.random.default_rng(20240811)
-    for _ in range(25):
-        t = random_latent_tree(rng, m_lo=4, m_hi=6)
-        ids = t.observed
-        for quad in itertools.combinations(range(t.m), 4):
-            qc = t.classify_quadruple(*quad)
-            p, q, r, s = quad
-            empties = []
-            for (a, b), (c, d) in (
-                ((p, q), (r, s)),
-                ((p, r), (q, s)),
-                ((p, s), (q, r)),
-            ):
-                shared = t.path_edge_set(ids[a], ids[b]) & t.path_edge_set(
-                    ids[c], ids[d]
-                )
-                if not shared:
-                    empties.append(((a, b), (c, d)))
-            if qc.kind == "degenerate":
-                assert len(empties) == 3
-            else:
-                assert len(empties) == 1
-                blocks = {frozenset(empties[0][0]), frozenset(empties[0][1])}
-                assert {frozenset(b) for b in qc.split} == blocks
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_classified_split_matches_direct_path_check(seed):
+    tree = random_latent_tree(np.random.default_rng(seed), m_lo=3, m_hi=10, n_hi=14)
+    chains, quads = reference_classes(tree)
+    system = enumerate_constraints(tree)
+    assert _chains(system) == chains
+    assert _splits(system) == {q: b for q, b in quads.items() if b is not None}
+    tetrads = {tuple(sorted(row)) for kind, row in _terms(system) if kind == "tetrad"}
+    assert tetrads == {q for q, b in quads.items() if b is None}
+
+
+def _restricted(tree, ids):
+    """The tree spanned by the observed nodes ``ids``, observed in that
+    order, with its unobserved degree-two nodes suppressed."""
+    nodes = set()
+    for a, b in itertools.combinations(ids, 2):
+        nodes.update(_path(tree, a, b))
+    adj = {v: {w for w in tree.neighbors(v) if w in nodes} for v in nodes}
+    for v in [v for v in nodes if v not in ids and len(adj[v]) == 2]:
+        a, b = adj.pop(v)
+        adj[a] = (adj[a] - {v}) | {b}
+        adj[b] = (adj[b] - {v}) | {a}
+    edges = {(a, b) for a in adj for b in adj[a] if str(a) < str(b)}
+    return LatentTree(edges, ids)
 
 
 def test_classification_survives_restriction():
     rng = np.random.default_rng(7180)
     for _ in range(25):
-        t = random_latent_tree(rng, m_lo=4, m_hi=6)
-        ids = t.observed
-        for quad in itertools.combinations(range(t.m), 4):
-            sub = t.restrict([ids[i] for i in quad])
-            orig = t.classify_quadruple(*quad)
-            restr = sub.classify_quadruple(0, 1, 2, 3)
-            assert restr.kind == orig.kind
-            if orig.kind == "split":
-                remap = {orig_i: new_i for new_i, orig_i in enumerate(quad)}
-                mapped = {
-                    frozenset(remap[i] for i in block) for block in orig.split
-                }
-                assert {frozenset(b) for b in restr.split} == mapped
-        for tri in itertools.combinations(range(t.m), 3):
-            sub = t.restrict([ids[i] for i in tri])
-            orig = t.classify_triple(*tri)
-            restr = sub.classify_triple(0, 1, 2)
-            assert restr.kind == orig.kind
-            if orig.kind == "chain":
-                assert tri[restr.middle] == orig.middle
+        tree = random_latent_tree(rng, m_lo=4, m_hi=6)
+        ids = tree.observed
+        system = enumerate_constraints(tree)
+        chains, splits = _chains(system), _splits(system)
+        for quad in itertools.combinations(range(tree.m), 4):
+            sub = enumerate_constraints(_restricted(tree, [ids[i] for i in quad]))
+            sub_splits = _splits(sub)
+            if quad in splits:
+                blocks = {tuple(quad[i] for i in b) for b in sub_splits[0, 1, 2, 3]}
+                assert blocks == set(splits[quad])
+            else:
+                assert sub_splits == {}
+        for tri in itertools.combinations(range(tree.m), 3):
+            sub = enumerate_constraints(_restricted(tree, [ids[i] for i in tri]))
+            sub_chains = _chains(sub)
+            if tri in chains:
+                assert tri[sub_chains[0, 1, 2]] == chains[tri]
+            else:
+                assert sub_chains == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_relabelling_observed_order_keeps_constraint_rows(seed, data):
+    tree = random_latent_tree(np.random.default_rng(seed), m_lo=3, m_hi=10, n_hi=14)
+    relabelled = LatentTree(tree.edges, data.draw(st.permutations(tree.observed)))
+
+    def rows(t):
+        return Counter(
+            (kind, frozenset(t.observed[i] for i in indices))
+            for _, kind, indices, _ in enumerate_constraints(t).scalar_rows()
+        )
+
+    assert rows(relabelled) == rows(tree)
 
 
 def test_chain_of_three_constraint_system():
     sys = enumerate_constraints(observed_chain(3))
-    assert sys.equalities == (ChainEquality((0, 1, 2), 1),)
-    assert sys.inequalities == (SignInequality((0, 1, 2)),)
+    assert _terms(sys) == [("chain", (0, 1, 1, 2)), ("sign", (0, 1, 2, -1))]
     assert sys.n_equality_terms == 1
     assert sys.n_inequality_terms == 1
 
 
 def test_observed_chain_four_constraint_system():
     sys = enumerate_constraints(observed_chain(4))
-    assert [type(c) for c in sys.equalities] == [
-        ChainEquality,
-        SplitEquality,
-        ChainEquality,
-        ChainEquality,
-        ChainEquality,
+    assert [(kind, indices) for _, kind, indices, _ in sys.scalar_rows()] == [
+        ("chain", (0, 1, 2)),
+        ("split", (0, 1, 2, 3)),
+        ("chain", (0, 1, 3)),
+        ("chain", (0, 2, 3)),
+        ("chain", (1, 2, 3)),
+        ("sign", (0, 1, 2)),
+        ("split-bound", (0, 1, 2, 3)),
+        ("sign", (0, 1, 3)),
+        ("sign", (0, 2, 3)),
+        ("sign", (1, 2, 3)),
     ]
-    assert [c.indices for c in sys.equalities] == [
-        (0, 1, 2),
-        (0, 1, 2, 3),
-        (0, 1, 3),
-        (0, 2, 3),
-        (1, 2, 3),
-    ]
-    assert [c.middle for c in sys.equalities if isinstance(c, ChainEquality)] == [
-        1,
-        1,
-        2,
-        2,
-    ]
-    kinds = [c.kind for c in sys.inequalities]
-    assert kinds == ["sign", "split-bound", "sign", "sign", "sign"]
+    assert [row[1] for kind, row in _terms(sys) if kind == "chain"] == [1, 1, 2, 2]
 
 
 def test_inner_node_tree_constraint_order():
     sys = enumerate_constraints(inner_node_tree())
-    summary = [(c.kind, c.indices) for c in sys.equalities]
+    rows = list(sys.scalar_rows())
+    summary = [(kind, indices) for side, kind, indices, _ in rows if side == "equality"]
     assert summary == [
         ("split", (0, 1, 2, 3)),
         ("chain", (0, 2, 3)),
         ("chain", (1, 2, 3)),
     ]
-    assert sys.equalities[0].blocks == ((0, 1), (2, 3))
-    assert all(c.middle == 3 for c in sys.equalities[1:])
+    assert _splits(sys) == {(0, 1, 2, 3): ((0, 1), (2, 3))}
+    assert set(_chains(sys).values()) == {3}
 
     detail = [
-        (c.kind, c.indices, getattr(c, "pivot", None)) for c in sys.inequalities
+        (kind, indices, index[1] if kind == "triangle-bound" else None)
+        for (side, kind, indices, _), index in zip(rows, sys.index.tolist())
+        if side == "inequality"
     ]
     assert detail == [
         ("sign", (0, 1, 2), None),
@@ -269,7 +271,7 @@ def test_inner_node_tree_constraint_order():
 )
 def test_star_tetrad_counts(m, n_tetrads):
     sys = enumerate_constraints(star_tree(m))
-    assert all(isinstance(c, DegenerateQuadEquality) for c in sys.equalities)
+    assert {KINDS[k] for k in sys.kinds[: sys.n_equality_terms]} == {"tetrad"}
     assert sys.n_equality_terms == n_tetrads
     n_triples = m * (m - 1) * (m - 2) // 6
     assert sys.n_inequality_terms == 4 * n_triples
@@ -284,8 +286,8 @@ def test_enumerate_needs_three_observed():
 def test_chain_equality_residual_and_sign_value():
     sys = enumerate_constraints(observed_chain(3))
     cov = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]])
-    assert sys.equality_residuals(cov) == [pytest.approx(0.0, abs=1e-15)]
-    assert sys.inequality_values(cov) == [pytest.approx(-0.09)]
+    assert sys.equality_residuals(cov).tolist() == [pytest.approx(0.0, abs=1e-15)]
+    assert sys.inequality_values(cov).tolist() == [pytest.approx(-0.09)]
 
 
 def _star_cov(weights):
@@ -297,23 +299,25 @@ def _star_cov(weights):
 
 def test_degenerate_quad_residuals():
     cov = _star_cov([0.9, 0.8, 0.7, 0.6])
-    quad = DegenerateQuadEquality((0, 1, 2, 3))
-    assert quad.residuals(cov) == [
+    sys = enumerate_constraints(star_tree(4))
+    assert sys.equality_residuals(cov).tolist() == [
         pytest.approx(0.0, abs=1e-15),
         pytest.approx(0.0, abs=1e-15),
     ]
     bumped = cov.copy()
     bumped[0, 3] += 0.01
     bumped[3, 0] += 0.01
-    r1, r2 = quad.residuals(bumped)
+    r1, r2 = sys.equality_residuals(bumped)
     assert r1 == pytest.approx(0.01 * 0.56)
     assert r2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_triangle_bound_value():
     cov = _star_cov([0.9, 0.8, 0.7, 0.6])
-    tb = TriangleBound((0, 1, 2), 1)
-    assert tb.values(cov) == [pytest.approx(-0.23432976)]
+    sys = enumerate_constraints(star_tree(4))
+    pos = _terms(sys).index(("triangle-bound", (0, 1, 1, 2)))
+    values = sys.inequality_values(cov)
+    assert values[pos - sys.n_equality_terms] == pytest.approx(-0.23432976)
 
 
 def _caterpillar_cov(a, b, c, d, e):
@@ -332,28 +336,34 @@ def _caterpillar_cov(a, b, c, d, e):
 def test_split_equality_and_bound_values():
     cov = _caterpillar_cov(0.9, 0.8, 0.7, 0.6, 0.5)
     sys = enumerate_constraints(caterpillar())
-    splits = [c for c in sys.equalities if isinstance(c, SplitEquality)]
-    assert len(splits) == 1
-    assert splits[0].blocks == ((0, 2), (1, 3))
-    assert splits[0].residuals(cov) == [pytest.approx(0.0, abs=1e-15)]
+    kinds = [kind for kind, _ in _terms(sys)]
+    assert kinds.count("split") == 1
+    assert _splits(sys) == {(0, 1, 2, 3): ((0, 2), (1, 3))}
+    residual = sys.equality_residuals(cov)[kinds.index("split")]
+    assert residual == pytest.approx(0.0, abs=1e-15)
 
-    bounds = [c for c in sys.inequalities if isinstance(c, SplitBound)]
-    assert len(bounds) == 1
-    assert bounds[0].values(cov) == [pytest.approx(-0.0857304)]
+    assert kinds.count("split-bound") == 1
+    bound = kinds.index("split-bound") - sys.n_equality_terms
+    assert sys.inequality_values(cov)[bound] == pytest.approx(-0.0857304)
+
+
+def _polynomials(tree, kind):
+    rows = enumerate_constraints(tree).scalar_rows()
+    return [poly for _, k, _, poly in rows if k == kind]
 
 
 def test_polynomial_strings():
-    assert ChainEquality((0, 1, 2), 1).polynomials() == ["s12*s23 - s22*s13"]
-    assert DegenerateQuadEquality((0, 1, 2, 3)).polynomials() == [
+    assert _polynomials(observed_chain(3), "chain") == ["s12*s23 - s22*s13"]
+    assert _polynomials(star_tree(4), "tetrad") == [
         "s14*s23 - s13*s24",
         "s12*s34 - s13*s24",
     ]
-    assert SplitEquality(((0, 1), (2, 3))).polynomials() == ["s13*s24 - s14*s23"]
-    assert SignInequality((0, 1, 2)).polynomials() == ["-s12*s13*s23"]
-    assert TriangleBound((0, 1, 2), 1).polynomials() == [
+    assert _polynomials(observed_chain(4), "split") == ["s13*s24 - s14*s23"]
+    assert _polynomials(observed_chain(3), "sign") == ["-s12*s13*s23"]
+    assert _polynomials(star_tree(4), "triangle-bound")[0] == (
         "s12^2*s23^2 - s22^2*s13^2"
-    ]
-    assert SplitBound(((0, 1), (2, 3))).polynomials() == [
+    )
+    assert _polynomials(observed_chain(4), "split-bound") == [
         "s13^2*s24^2 - s12^2*s34^2"
     ]
 
