@@ -22,13 +22,8 @@ from .bootstrap import (
 )
 from .estimators import (
     EstimateSequence,
-    TetradIndex,
     build_estimate_matrix,
-    column_means,
-    monomial_estimates,
     plugin_tetrads,
-    tetrad_estimates,
-    tetrad_value,
 )
 from .metric import (
     MetricReport,
@@ -49,7 +44,6 @@ from .model import (
     covariance_from_tree,
     sample,
     setup_params,
-    star_equivalent,
 )
 from .tree import (
     ConstraintSystem,
@@ -72,7 +66,6 @@ __all__ = [
     "OneFactorParams",
     "SampleMatrix",
     "TestResult",
-    "TetradIndex",
     "TreeError",
     "TreeModelParams",
     "Violation",
@@ -82,7 +75,6 @@ __all__ = [
     "check_four_point",
     "check_pseudo_metric",
     "check_three_point",
-    "column_means",
     "correlation_metric",
     "covariance_from_factor",
     "covariance_from_tree",
@@ -92,7 +84,6 @@ __all__ = [
     "induced_metric",
     "is_t_induced",
     "load_tree",
-    "monomial_estimates",
     "multiplier_draws",
     "parse_tree",
     "plugin_tetrads",
@@ -100,9 +91,6 @@ __all__ = [
     "run_test",
     "sample",
     "setup_params",
-    "star_equivalent",
-    "tetrad_estimates",
-    "tetrad_value",
     "test_statistic",
     "__version__",
 ]

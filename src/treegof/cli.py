@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from multiprocessing import get_context
@@ -92,21 +91,18 @@ def _read_matrix_csv(path):
     return [n.strip() for n in names], np.asarray(rows, dtype=float)
 
 
-def _align_columns(names, values, tree):
-    """Reorder CSV columns to the tree's observed order.
+def _observed_order(names, tree):
+    """Positions of the tree's observed variables among the CSV columns.
 
     Column names that are a permutation of the observed ids are matched
-    by name; otherwise the count must agree and order is positional.
+    by name; otherwise the count must agree, order is positional and
+    None is returned.
     """
     observed = list(tree.observed)
-    if names == observed:
-        return values
-    if sorted(names) == sorted(observed):
-        order = [names.index(v) for v in observed]
-        # keep C layout so reductions round identically to the unshuffled path
-        return np.ascontiguousarray(values[:, order])
+    if names != observed and sorted(names) == sorted(observed):
+        return [names.index(v) for v in observed]
     if len(names) == len(observed):
-        return values
+        return None
     raise ValueError(
         f"data has {len(names)} columns but the tree observes "
         f"{len(observed)} variables"
@@ -202,7 +198,11 @@ def cmd_test(args) -> int:
     tree = load_tree(args.tree)
     system = enumerate_constraints(tree)
     names, values = _read_matrix_csv(args.data)
-    data = SampleMatrix(_align_columns(names, values, tree), tuple(tree.observed))
+    order = _observed_order(names, tree)
+    if order is not None:
+        # keep C layout so reductions round identically to the unshuffled path
+        values = np.ascontiguousarray(values[:, order])
+    data = SampleMatrix(values, tuple(tree.observed))
     result = run_test(data, system, _bootstrap_config(args))
     report = {
         "statistic": result.statistic,
@@ -250,6 +250,8 @@ def _simulate_rep(rep: int):
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     alphas = _parse_alpha_grid(args.alpha_grid)
     system = enumerate_constraints(_star_tree(args.m))
     params = setup_params(
@@ -316,10 +318,8 @@ def cmd_check_metric(args) -> int:
             f"distance matrix must be square, got {values.shape[0]}x"
             f"{values.shape[1]}"
         )
-    delta = _align_columns(names, values, tree)
-    if sorted(names) == sorted(tree.observed):
-        order = [names.index(v) for v in tree.observed]
-        delta = delta[order, :]
+    order = _observed_order(names, tree)
+    delta = values if order is None else values[np.ix_(order, order)]
     report = is_t_induced(delta, tree)
     print("t-induced:", "yes" if report.is_induced else "no")
     violations = report.all_violations

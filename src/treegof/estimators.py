@@ -18,54 +18,10 @@ from .model import SampleMatrix
 from .tree import ConstraintSystem
 
 __all__ = [
-    "TetradIndex",
     "EstimateSequence",
-    "tetrad_value",
-    "tetrad_estimates",
-    "monomial_estimates",
     "build_estimate_matrix",
-    "column_means",
     "plugin_tetrads",
 ]
-
-
-@dataclass(frozen=True)
-class TetradIndex:
-    """A 2x2 covariance minor sigma_ab * sigma_cd - sigma_ad * sigma_cb,
-    identified by rows (a, b) and cols (c, d).
-
-    Four sign-preserving rewritings describe the same polynomial; the
-    constructor stores the lexicographically smallest, so equal
-    polynomials compare equal.
-    """
-
-    rows: tuple
-    cols: tuple
-
-    def __post_init__(self):
-        flat = tuple(self.rows) + tuple(self.cols)
-        if len(flat) != 4:
-            raise ValueError("rows and cols must each hold two indices")
-        if any(not isinstance(i, (int, np.integer)) or i < 0 for i in flat):
-            raise ValueError("indices must be nonnegative integers")
-        if len(set(flat)) != 4:
-            raise ValueError("tetrad needs four distinct variable indices")
-        a, b, c, d = (int(i) for i in flat)
-        best = min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
-        object.__setattr__(self, "rows", (best[0], best[1]))
-        object.__setattr__(self, "cols", (best[2], best[3]))
-
-
-def tetrad_value(cov, idx: TetradIndex) -> float:
-    """Evaluate the tetrad polynomial on a covariance matrix."""
-    cov = np.asarray(cov, dtype=float)
-    a, b = idx.rows
-    c, d = idx.cols
-    if max(a, b, c, d) >= cov.shape[0]:
-        raise IndexError(
-            f"tetrad index {max(a, b, c, d)} out of range for m={cov.shape[0]}"
-        )
-    return float(cov[a, b] * cov[c, d] - cov[a, d] * cov[c, b])
 
 
 def _data_array(data) -> np.ndarray:
@@ -96,46 +52,6 @@ def _monomial_columns(x: np.ndarray, triples: np.ndarray) -> np.ndarray:
     return w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
 
 
-def _index_rows(items, width: int) -> np.ndarray:
-    return np.asarray(items, dtype=np.intp).reshape(-1, width)
-
-
-def tetrad_estimates(data, idx: TetradIndex) -> np.ndarray:
-    """Length n-1 unbiased estimate sequence of one tetrad.
-
-    Raw products of the given data; no centering is applied here.
-    """
-    x = _data_array(data)
-    if x.shape[0] < 2:
-        raise ValueError("tetrad estimation needs at least 2 rows")
-    if max(*idx.rows, *idx.cols) >= x.shape[1]:
-        raise IndexError("tetrad index out of range for data width")
-    return _difference_columns(x, _index_rows([idx.rows + idx.cols], 4))[:, 0]
-
-
-def monomial_estimates(data, triple) -> np.ndarray:
-    """Length n-2 unbiased estimate sequence of sigma_pq sigma_pr sigma_qr."""
-    x = _data_array(data)
-    if x.shape[0] < 3:
-        raise ValueError("monomial estimation needs at least 3 rows")
-    p, q, r = triple
-    if len({p, q, r}) != 3:
-        raise ValueError("triple indices must be distinct")
-    if max(p, q, r) >= x.shape[1]:
-        raise IndexError("triple index out of range for data width")
-    return _monomial_columns(x, _index_rows([(p, q, r)], 3))[:, 0]
-
-
-def _pair_id(pair) -> str:
-    (a, b), (c, d) = pair
-    return f"t{a + 1}.{b + 1}|{c + 1}.{d + 1}"
-
-
-def _triple_id(triple) -> str:
-    p, q, r = triple
-    return f"m{p + 1}.{q + 1}.{r + 1}"
-
-
 @dataclass(frozen=True)
 class EstimateSequence:
     """Estimate columns in canonical constraint order.
@@ -147,7 +63,6 @@ class EstimateSequence:
 
     values: np.ndarray
     dependence_order: int
-    ids: tuple
     one_sided: np.ndarray
 
     def __post_init__(self):
@@ -161,11 +76,8 @@ class EstimateSequence:
         one_sided = np.asarray(self.one_sided, dtype=bool)
         if one_sided.shape != (values.shape[1],):
             raise ValueError("one_sided mask must have one entry per column")
-        if len(self.ids) != values.shape[1]:
-            raise ValueError("ids must have one entry per column")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "one_sided", one_sided)
-        object.__setattr__(self, "ids", tuple(self.ids))
 
     @property
     def n_rows(self) -> int:
@@ -212,11 +124,6 @@ class ColumnSource:
         if len(triples) == 0:
             return eq
         return np.hstack([eq, -_monomial_columns(self.x, triples)])
-
-    def ids(self) -> list:
-        return [_pair_id(((a, b), (c, d))) for a, b, c, d in self.quads.tolist()] + [
-            _triple_id(t) for t in self.triples.tolist()
-        ]
 
 
 def column_source(
@@ -295,16 +202,7 @@ def build_estimate_matrix(
     """
     source = column_source(data, constraints, mode, subsample, center)
     values = source.block(slice(0, source.n_columns))
-    return EstimateSequence(
-        values, source.dependence_order, tuple(source.ids()), source.one_sided
-    )
-
-
-def column_means(seq: EstimateSequence) -> np.ndarray:
-    """Per-column arithmetic means of the estimate matrix."""
-    if seq.n_rows == 0:
-        raise ValueError("cannot average an empty estimate sequence")
-    return seq.values.mean(axis=0)
+    return EstimateSequence(values, source.dependence_order, source.one_sided)
 
 
 def plugin_tetrads(data, constraints: ConstraintSystem) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "SampleMatrix",
     "covariance_from_tree",
     "covariance_from_factor",
-    "star_equivalent",
     "sample",
     "setup_params",
 ]
@@ -74,15 +73,11 @@ class TreeModelParams:
 
 @dataclass(frozen=True)
 class OneFactorParams:
-    """Single latent factor with loadings ``beta`` and independent noise.
-
-    The mean vector is carried for completeness but generation is
-    mean-zero throughout.
-    """
+    """Single latent factor with loadings ``beta`` and independent noise;
+    generation is mean-zero."""
 
     beta: np.ndarray
     noise_var: np.ndarray
-    mu: Optional[np.ndarray] = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -91,13 +86,8 @@ class OneFactorParams:
             raise ValueError("beta and noise_var must be equal-length vectors")
         if np.any(noise <= 0):
             raise ValueError("noise variances must be strictly positive")
-        mu = self.mu
-        mu = np.zeros_like(beta) if mu is None else np.asarray(mu, dtype=float)
-        if mu.shape != beta.shape:
-            raise ValueError("mu must match beta in length")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "noise_var", noise)
-        object.__setattr__(self, "mu", mu)
 
     @property
     def m(self) -> int:
@@ -152,24 +142,6 @@ def covariance_from_factor(params: OneFactorParams) -> np.ndarray:
     """Covariance of a one-factor model: outer product of the loadings
     plus diagonal noise."""
     return np.outer(params.beta, params.beta) + np.diag(params.noise_var)
-
-
-def star_equivalent(params: OneFactorParams) -> TreeModelParams:
-    """Star-tree parameterization matching a one-factor covariance.
-
-    Valid only when every loading is nonzero (zero loadings would need a
-    zero edge correlation, which tree parameterizations exclude).
-    """
-    beta = params.beta
-    if np.any(beta == 0):
-        raise ValueError("star reparameterization needs nonzero loadings")
-    m = params.m
-    scale = np.sqrt(beta**2 + params.noise_var)
-    leaves = [f"x{i}" for i in range(1, m + 1)]
-    tree = LatentTree([("h", leaf) for leaf in leaves], leaves)
-    corr = {("h", leaf): beta[i] / scale[i] for i, leaf in enumerate(leaves)}
-    sds = {leaf: scale[i] for i, leaf in enumerate(leaves)}
-    return TreeModelParams(tree, corr, sds)
 
 
 def _validate_covariance(cov: np.ndarray) -> np.ndarray:

@@ -38,8 +38,7 @@ def _seq(values, one_sided=None):
         values = values[:, None]
     k = values.shape[1]
     sided = np.zeros(k, dtype=bool) if one_sided is None else np.asarray(one_sided)
-    ids = tuple(f"c{j}" for j in range(k))
-    return EstimateSequence(values, 1, ids, sided)
+    return EstimateSequence(values, 1, sided)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,21 @@ def test_simulate_bad_alpha_grid(tmp_path, capsys):
     assert "alpha grid" in capsys.readouterr().err
 
 
+def test_simulate_rejects_nonpositive_reps(tmp_path, capsys):
+    for reps in ("0", "-3"):
+        out = tmp_path / "sizes.csv"
+        rc = main([
+            "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", reps,
+            "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--reps" in captured.err
+        assert "Warning" not in captured.err
+        assert not out.exists()
+        assert not (tmp_path / "sizes.svg").exists()
+
+
 def test_parse_alpha_grid_forms():
     assert _parse_alpha_grid("0.01:0.05:0.01") == [0.01, 0.02, 0.03, 0.04, 0.05]
     assert _parse_alpha_grid("0.05") == [0.05]
@@ -397,6 +412,26 @@ def test_check_metric_verdicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t-induced: no" in out
     assert "four-point" in out
+
+
+def test_check_metric_matches_permuted_header(tmp_path, capsys):
+    # an asymmetric, off-model matrix: a header that permutes the
+    # observed ids must reorder rows and columns alike
+    tree_path = star_file(tmp_path, 5)
+    names = load_tree(tree_path).observed
+    delta = np.random.default_rng(5).uniform(0.0, 3.0, size=(5, 5))
+    np.fill_diagonal(delta, 0.0)
+    ordered = tmp_path / "ordered.csv"
+    write_data_csv(ordered, names, delta)
+    assert main(["check-metric", "--tree", str(tree_path), "--data", str(ordered)]) == 0
+    expected = capsys.readouterr().out
+    assert "t-induced: no" in expected and "symmetry" in expected
+
+    perm = [3, 0, 4, 2, 1]
+    permuted = tmp_path / "permuted.csv"
+    write_data_csv(permuted, [names[i] for i in perm], delta[np.ix_(perm, perm)])
+    assert main(["check-metric", "--tree", str(tree_path), "--data", str(permuted)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_header_only_csv_fails_cleanly(tmp_path, capsys):

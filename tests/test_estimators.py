@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -11,13 +10,8 @@ import pytest
 from conftest import star_tree
 from treegof.estimators import (
     EstimateSequence,
-    TetradIndex,
     build_estimate_matrix,
-    column_means,
-    monomial_estimates,
     plugin_tetrads,
-    tetrad_estimates,
-    tetrad_value,
 )
 from treegof.model import covariance_from_factor, sample, setup_params
 from treegof.tree import enumerate_constraints
@@ -39,77 +33,66 @@ PD = np.array(
 )
 
 
-def test_tetrad_index_canonicalization():
-    idx = TetradIndex((1, 2), (0, 3))
-    assert idx.rows == (0, 3)
-    assert idx.cols == (1, 2)
-    # all four sign-preserving forms collapse to one object
-    forms = [
-        TetradIndex((0, 3), (1, 2)),
-        TetradIndex((3, 0), (2, 1)),
-        TetradIndex((1, 2), (0, 3)),
-        TetradIndex((2, 1), (3, 0)),
-    ]
-    assert len(set(forms)) == 1
-
-
-def test_tetrad_index_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        TetradIndex((0, 1), (1, 2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        TetradIndex((-1, 1), (2, 3))
-
-
 def test_tetrad_value_hand_matrix():
-    idx = TetradIndex((0, 3), (1, 2))
-    assert tetrad_value(PD, idx) == pytest.approx(5.0)
-    assert tetrad_value(np.diag([1.0, 2.0, 3.0, 4.0]), idx) == 0.0
+    # row 0 of the star-4 system is the quad (0, 3, 1, 2):
+    # s14*s23 - s13*s24
+    sys = enumerate_constraints(star_tree(4))
+    assert sys.equality_column_pairs()[0].tolist() == [0, 3, 1, 2]
+    assert sys.equality_residuals(PD)[0] == pytest.approx(5.0)
+    assert sys.equality_residuals(np.diag([1.0, 2.0, 3.0, 4.0]))[0] == 0.0
     with pytest.raises(IndexError):
-        tetrad_value(np.eye(3), idx)
+        sys.equality_residuals(np.eye(3))
 
 
 def test_tetrad_value_zero_under_equicorrelation():
     cov = covariance_from_factor(setup_params(1, 6, seed=0))
-    for quad in itertools.combinations(range(6), 4):
-        p, q, r, s = quad
-        assert tetrad_value(cov, TetradIndex((p, s), (q, r))) == pytest.approx(0.0)
+    residuals = enumerate_constraints(star_tree(6)).equality_residuals(cov)
+    assert len(residuals) == 30
+    np.testing.assert_allclose(residuals, 0.0, atol=1e-12)
 
 
 def test_tetrad_estimates_hand_values():
-    idx = TetradIndex((0, 3), (1, 2))
-    np.testing.assert_allclose(tetrad_estimates(X_TETRAD, idx), [24.0, 200.0])
+    sys = enumerate_constraints(star_tree(4))
+    raw = build_estimate_matrix(X_TETRAD, sys, center=False)
+    np.testing.assert_allclose(raw.values[:, 0], [24.0, 200.0])
 
-    ones = np.ones((2, 4))
-    np.testing.assert_array_equal(tetrad_estimates(ones, idx), [0.0])
+    ones = build_estimate_matrix(np.ones((2, 4)), sys, center=False)
+    np.testing.assert_array_equal(ones.values, [[0.0, 0.0]])
 
     with pytest.raises(ValueError, match="at least 2 rows"):
-        tetrad_estimates(np.ones((1, 4)), idx)
+        build_estimate_matrix(np.ones((1, 4)), sys)
 
 
 def test_monomial_estimates_hand_values():
-    np.testing.assert_allclose(
-        monomial_estimates(X_MONO, (0, 1, 2)), [3456.0, 166320.0]
-    )
-    np.testing.assert_array_equal(
-        monomial_estimates(np.ones((5, 3)), (0, 1, 2)), np.ones(3)
-    )
+    # a 3-leaf star has no equalities, so column 0 is the sign column
+    # of (0, 1, 2), holding negated monomial estimates
+    sys = enumerate_constraints(star_tree(3))
+    raw = build_estimate_matrix(X_MONO, sys, mode="all", center=False)
+    np.testing.assert_allclose(raw.values[:, 0], [-3456.0, -166320.0])
+    ones = build_estimate_matrix(np.ones((5, 3)), sys, mode="all", center=False)
+    np.testing.assert_array_equal(ones.values[:, 0], -np.ones(3))
     with pytest.raises(ValueError, match="at least 3 rows"):
-        monomial_estimates(np.ones((2, 3)), (0, 1, 2))
-    with pytest.raises(ValueError, match="distinct"):
-        monomial_estimates(np.ones((5, 3)), (0, 0, 1))
+        build_estimate_matrix(np.ones((2, 3)), sys, mode="all")
+
+
+def _raw_star4_columns(x):
+    """Column 0 (tetrad s14*s23 - s13*s24) and column 2 (negated
+    s12*s13*s23) of the uncentered star-4 matrix with sign columns."""
+    sys = enumerate_constraints(star_tree(4))
+    values = build_estimate_matrix(x, sys, mode="all", center=False).values
+    return values[:, 0], values[:, 2]
 
 
 def test_estimates_unbiased_under_one_factor_null():
     cov = covariance_from_factor(setup_params(1, 4, seed=0))
     reps = 500
     n = 50
-    idx = TetradIndex((0, 3), (1, 2))
     tet_means = np.empty(reps)
     mono_means = np.empty(reps)
     for rep in range(reps):
-        x = sample(cov, n, seed=rep).data
-        tet_means[rep] = tetrad_estimates(x, idx).mean()
-        mono_means[rep] = monomial_estimates(x, (0, 1, 2)).mean()
+        tet, sign = _raw_star4_columns(sample(cov, n, seed=rep).data)
+        tet_means[rep] = tet.mean()
+        mono_means[rep] = -sign.mean()
     se = tet_means.std(ddof=1) / math.sqrt(reps)
     assert abs(tet_means.mean()) < 4 * se
     se = mono_means.std(ddof=1) / math.sqrt(reps)
@@ -120,16 +103,14 @@ def test_estimates_unbiased_under_one_factor_null():
 def test_sequences_uncorrelated_beyond_dependence_range():
     cov = covariance_from_factor(setup_params(1, 4, seed=0))
     reps = 3000
-    idx = TetradIndex((0, 3), (1, 2))
     big = sample(cov, reps * 8, seed=99).data.reshape(reps, 8, 4)
     tet0 = np.empty(reps)
     tet2 = np.empty(reps)
     mono0 = np.empty(reps)
     mono3 = np.empty(reps)
     for rep in range(reps):
-        t = tetrad_estimates(big[rep], idx)
+        t, mo = _raw_star4_columns(big[rep])
         tet0[rep], tet2[rep] = t[0], t[2]
-        mo = monomial_estimates(big[rep], (0, 1, 2))
         mono0[rep], mono3[rep] = mo[0], mo[3]
     assert abs(np.corrcoef(tet0, tet2)[0, 1]) < 0.1
     assert abs(np.corrcoef(mono0, mono3)[0, 1]) < 0.1
@@ -143,18 +124,16 @@ def test_build_matrix_star4_columns():
     assert seq.n_columns == 2
     assert seq.n_rows == 29
     assert seq.dependence_order == 1
-    assert seq.ids == ("t1.4|2.3", "t1.2|4.3")
+    # s14*s23 - s13*s24 and s12*s34 - s13*s24
+    assert sys.equality_column_pairs().tolist() == [[0, 3, 1, 2], [0, 1, 3, 2]]
     assert not seq.one_sided.any()
 
     centered = x - x.mean(axis=0)
     np.testing.assert_allclose(
-        seq.values[:, 0], tetrad_estimates(centered, TetradIndex((0, 3), (1, 2)))
+        seq.values, build_estimate_matrix(centered, sys, center=False).values
     )
 
     raw = build_estimate_matrix(x, sys, center=False)
-    np.testing.assert_allclose(
-        raw.values[:, 0], tetrad_estimates(x, TetradIndex((0, 3), (1, 2)))
-    )
     assert not np.allclose(raw.values, seq.values)
 
 
@@ -169,16 +148,18 @@ def test_build_matrix_with_inequality_columns():
     np.testing.assert_array_equal(
         seq.one_sided, [False, False, True, True, True, True]
     )
-    assert seq.ids[2:] == ("m1.2.3", "m1.2.4", "m1.3.4", "m2.3.4")
+    assert sys.sign_triples().tolist() == [
+        [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]
+    ]
 
     centered = x - x.mean(axis=0)
     np.testing.assert_allclose(
-        seq.values[:, 2], -monomial_estimates(centered, (0, 1, 2))
+        seq.values,
+        build_estimate_matrix(centered, sys, mode="all", center=False).values,
     )
     # equality columns are the tetrad differences cut to the common length
     np.testing.assert_allclose(
-        seq.values[:, 0],
-        tetrad_estimates(centered, TetradIndex((0, 3), (1, 2)))[:23],
+        seq.values[:, :2], build_estimate_matrix(x, sys).values[:23]
     )
 
 
@@ -197,16 +178,21 @@ def test_build_matrix_subsampling():
 
     sub = build_estimate_matrix(x, sys, subsample=(7, 11))
     assert sub.n_columns == 7
-    positions = [full.ids.index(i) for i in sub.ids]
-    assert positions == sorted(positions)
-    for local, pos in enumerate(positions):
-        np.testing.assert_array_equal(sub.values[:, local], full.values[:, pos])
+    # every full column is distinct, so a subsampled column's value
+    # gives its position
+    positions = [
+        [j for j in range(full.n_columns) if np.array_equal(col, full.values[:, j])]
+        for col in sub.values.T
+    ]
+    assert all(len(p) == 1 for p in positions)
+    positions = [p[0] for p in positions]
+    assert positions == sorted(set(positions))
 
     again = build_estimate_matrix(x, sys, subsample=(7, 11))
-    assert again.ids == sub.ids
+    np.testing.assert_array_equal(again.values, sub.values)
 
     other = build_estimate_matrix(x, sys, subsample=(7, 12))
-    assert other.ids != sub.ids
+    assert not np.array_equal(other.values, sub.values)
 
     with pytest.raises(ValueError, match="exceeds"):
         build_estimate_matrix(x, sys, subsample=(11, 0))
@@ -226,30 +212,13 @@ def test_build_matrix_input_validation():
         build_estimate_matrix(np.ones((10, 4)), sys, mode="both")
 
 
-def test_column_means_matches_streaming_sum():
-    sys = enumerate_constraints(star_tree(5))
-    x = np.random.default_rng(8).standard_normal((40, 5))
-    seq = build_estimate_matrix(x, sys)
-    means = column_means(seq)
-    for k in range(seq.n_columns):
-        direct = math.fsum(seq.values[:, k]) / seq.n_rows
-        assert means[k] == pytest.approx(direct, rel=1e-13)
-
-    empty = EstimateSequence(
-        np.empty((0, 2)), 1, ("a", "b"), np.zeros(2, dtype=bool)
-    )
-    with pytest.raises(ValueError, match="empty"):
-        column_means(empty)
-
-
 def test_plugin_tetrads_match_definition():
     sys = enumerate_constraints(star_tree(5))
     x = np.random.default_rng(9).standard_normal((50, 5))
     tau = plugin_tetrads(x, sys)
     s = x.T @ x / 50
-    for k, row in enumerate(sys.equality_column_pairs().tolist()):
-        idx = TetradIndex(tuple(row[:2]), tuple(row[2:]))
-        assert tau[k] == pytest.approx(tetrad_value(s, idx))
+    for k, (a, b, c, d) in enumerate(sys.equality_column_pairs().tolist()):
+        assert tau[k] == pytest.approx(s[a, b] * s[c, d] - s[a, d] * s[c, b])
 
 
 def test_plugin_tetrads_vanish_on_rank_one_data():
@@ -266,22 +235,10 @@ def test_plugin_tetrads_consistent_for_large_n():
     assert np.max(np.abs(tau)) < 0.1
 
 
-def test_tetrad_values_relabel_entrywise():
-    # evaluating a stored tetrad on a relabeled matrix is the same as
-    # evaluating the relabeled index arrangement on the original
-    m = 5
-    sys = enumerate_constraints(star_tree(m))
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((m, m))
-    s = a @ a.T + m * np.eye(m)
-    for perm in ([1, 0, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
-        perm = np.array(perm)
-        s_perm = s[np.ix_(perm, perm)]
-        for a_, b_, c_, d_ in sys.equality_column_pairs().tolist():
-            got = tetrad_value(s_perm, TetradIndex((a_, b_), (c_, d_)))
-            pa, pb, pc, pd = perm[a_], perm[b_], perm[c_], perm[d_]
-            expected = s[pa, pb] * s[pc, pd] - s[pa, pd] * s[pc, pb]
-            assert got == pytest.approx(expected, rel=1e-12)
+def _canonical_quad(a, b, c, d):
+    """Smallest of the four sign-preserving rewritings of
+    s_ab*s_cd - s_ad*s_cb."""
+    return min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
 
 
 def test_reversal_relabeling_permutes_plugin_values():
@@ -301,16 +258,13 @@ def test_reversal_relabeling_permutes_plugin_values():
     pairs = sys.equality_column_pairs().tolist()
     pos = {tuple(p): k for k, p in enumerate(pairs)}
     for k, (a, b, c, d) in enumerate(pairs):
-        mapped = TetradIndex((m - 1 - a, m - 1 - b), (m - 1 - c, m - 1 - d))
-        target = pos[mapped.rows + mapped.cols]
+        target = pos[_canonical_quad(m - 1 - a, m - 1 - b, m - 1 - c, m - 1 - d)]
         assert flipped[k] == pytest.approx(orig[target], rel=1e-12)
     assert sorted(np.round(flipped, 12)) == sorted(np.round(orig, 12))
 
 
 def test_estimate_sequence_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
-        EstimateSequence(
-            np.array([[1.0, np.nan]]), 1, ("a", "b"), np.zeros(2, dtype=bool)
-        )
+        EstimateSequence(np.array([[1.0, np.nan]]), 1, np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="one entry per column"):
-        EstimateSequence(np.ones((3, 2)), 1, ("a", "b"), np.zeros(3, dtype=bool))
+        EstimateSequence(np.ones((3, 2)), 1, np.zeros(3, dtype=bool))

@@ -19,7 +19,6 @@ from treegof.model import (
     covariance_from_tree,
     sample,
     setup_params,
-    star_equivalent,
 )
 from treegof.tree import enumerate_constraints
 
@@ -110,15 +109,17 @@ def test_factor_equals_star_reparameterization():
         m = int(rng.integers(4, 9))
         beta = rng.uniform(0.2, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
         noise = rng.uniform(0.1, 2.0, size=m)
-        factor = OneFactorParams(beta, noise)
-        direct = covariance_from_factor(factor)
-        via_star = covariance_from_tree(star_equivalent(factor))
-        np.testing.assert_allclose(via_star, direct, atol=1e-12)
-
-
-def test_star_equivalent_rejects_zero_loading():
-    with pytest.raises(ValueError, match="nonzero"):
-        star_equivalent(OneFactorParams(np.array([1.0, 0.0, 1.0, 1.0]), np.ones(4)))
+        direct = covariance_from_factor(OneFactorParams(beta, noise))
+        # the matching star: edge correlation beta / sd, leaf sd
+        # sqrt(beta^2 + noise), unit-variance hub
+        tree = star_tree(m)
+        sd = np.sqrt(beta**2 + noise)
+        star = TreeModelParams(
+            tree,
+            {("h", v): beta[i] / sd[i] for i, v in enumerate(tree.observed)},
+            {v: sd[i] for i, v in enumerate(tree.observed)},
+        )
+        np.testing.assert_allclose(covariance_from_tree(star), direct, atol=1e-12)
 
 
 def test_tree_covariances_satisfy_all_constraints():
