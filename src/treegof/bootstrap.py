@@ -12,7 +12,12 @@ m as a classical comparison.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Optional, Union
 
 import numpy as np
@@ -38,9 +43,27 @@ __all__ = [
 # degenerate and excluded from the max
 DIAG_FLOOR = 1e-300
 
-# budget, in doubles, of every intermediate block: an estimate-column
-# chunk, a multiplier chunk and a coordinate tile
+# budget, in doubles, of a multiplier chunk; every chunk rereads the
+# whole batch-sum store, so chunks stay large
 _CHUNK_BUDGET = 500_000
+
+# budget, in doubles, of the block one thread works on at a time: an
+# estimate-column chunk or a coordinate tile
+_BLOCK_BUDGET = 65_536
+
+# most draws and most columns of a coordinate tile.  Every tile
+# repacks its multipliers and its batch sums for BLAS, so square tiles
+# pack the least: wide-star's 1000 x 54,810 coordinates took 0.46 s in
+# 256 x 256 tiles and 0.64 s in 1000 x 65 tiles (one core)
+_TILE_SIDE = 256
+
+# blocks in flight per thread.  Results are consumed in order, so with
+# one per thread a thread that finishes early waits for the calling
+# thread to hand it the next block, and a stalled core stalls the pass
+# (wide-star's run_test on a 2-vCPU VM beside a busy process: 1.46 and
+# 1.49 s at one block per thread, 1.37 and 1.40 s at two, 1.30 and
+# 1.34 s at four; four gains little and holds more finished blocks).
+_BLOCKS_PER_THREAD = 2
 
 
 @dataclass(frozen=True)
@@ -108,10 +131,53 @@ class _Fold:
         return self.sums.shape[1]
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (``taskset`` restricts them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _ordered_map(jobs: int):
+    """An ``imap(fn, items)`` that runs ``fn`` on ``jobs`` threads and
+    yields the results in item order, with at most
+    ``_BLOCKS_PER_THREAD`` items per thread in flight; the first items
+    are submitted when ``imap`` is called.  Inline when ``jobs`` is 1.
+
+    numpy releases the GIL in the column build and in BLAS, and every
+    result combines by position or by ``max``, so the outputs do not
+    depend on ``jobs``.  A worker's exception is raised by the caller
+    unchanged, and the threads are joined on exit.
+    """
+    if jobs == 1:
+        yield map
+        return
+    # imported here: it pulls in logging, which ``import treegof`` skips
+    from concurrent.futures import ThreadPoolExecutor
+
+    depth = _BLOCKS_PER_THREAD * jobs
+    with ThreadPoolExecutor(jobs) as pool:
+
+        def imap(fn, items):
+            items = iter(items)
+            pending = deque(pool.submit(fn, item) for item in islice(items, depth))
+
+            def results():
+                while pending:
+                    result = pending.popleft().result()
+                    pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+                    yield result
+
+            return results()
+
+        yield imap
+
+
 def _column_slices(rows: int, n_columns: int):
-    """Column chunks of at most ``_CHUNK_BUDGET`` values (at least one
+    """Column chunks of at most ``_BLOCK_BUDGET`` values (at least one
     column)."""
-    width = max(1, _CHUNK_BUDGET // rows)
+    width = max(1, _BLOCK_BUDGET // rows)
     return [slice(lo, lo + width) for lo in range(0, n_columns, width)]
 
 
@@ -130,21 +196,48 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
         raise ValueError("estimate values contain non-finite entries")
     values = np.asfortranarray(values)
     ybar = values.mean(axis=0)
-    dev = values[: omega * batch_size] - ybar
-    sums = dev.reshape(omega, batch_size, -1).sum(axis=1)
+    batches = (values[: omega * batch_size] - ybar).reshape(omega, batch_size, -1)
+    # a batch's rows are added in row order, one row of every batch at a
+    # time: ``sum(axis=1)`` over the short batch axis is ten times
+    # slower.  The sums stay column-major, so each column's squares add
+    # pairwise.
+    sums = batches[:, 0].copy(order="K")
+    for row in range(1, batch_size):
+        sums += batches[:, row]
     return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
 
 
-def _fold(block, rows: int, one_sided: np.ndarray, batch_size: int) -> _Fold:
+def _fold_chunk(block, rows, one_sided, batch_size, cols):
+    """Reduce the columns ``cols``: their variance proxies and, for the
+    kept (non-degenerate) ones, batch sums, scales, sidedness and the
+    largest studentized mean (-inf when none is kept)."""
+    omega = rows // batch_size
+    ybar, sums, d = _moments(block(cols), omega, batch_size)
+    keep = d > DIAG_FLOOR
+    z = math.sqrt(rows) * ybar[keep] / np.sqrt(d[keep])
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
+        raise ValueError(
+            "variance proxies or studentized means overflow; rescale the data"
+        )
+    sided = one_sided[cols][keep]
+    peak = float(np.where(sided, z, np.abs(z)).max()) if z.size else -math.inf
+    scale = math.sqrt(batch_size * omega) * np.sqrt(d[keep])
+    return d, sums[:, keep], scale, sided, peak
+
+
+def _fold(
+    block, rows: int, one_sided: np.ndarray, batch_size: int, imap=map
+) -> _Fold:
     """One pass over the estimate columns, chunk by chunk in canonical
     order; ``block(cols)`` returns the rows x len(cols) values of the
     columns in the slice ``cols``.
 
-    Per chunk: column means, non-overlapping batch sums of deviations
-    from them, variance proxies (the diagonal of the batched covariance
-    estimator) and the studentized means.  Rows beyond the largest
-    multiple of the batch size are not batched (the means still use
-    every row).
+    Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
+    non-overlapping batch sums of deviations from them, variance proxies
+    (the diagonal of the batched covariance estimator) and the
+    studentized means.  Rows beyond the largest multiple of the batch
+    size are not batched (the means still use every row).  The chunks'
+    results are stored in chunk order.
     """
     omega = rows // batch_size
     if omega < 2:
@@ -159,24 +252,18 @@ def _fold(block, rows: int, one_sided: np.ndarray, batch_size: int) -> _Fold:
     kept_sided = np.empty(n_columns, dtype=bool)
     statistic = -math.inf
     kept = 0
-    for cols in _column_slices(rows, n_columns):
-        ybar, chunk_sums, d = _moments(block(cols), omega, batch_size)
-        keep = d > DIAG_FLOOR
-        z = math.sqrt(rows) * ybar[keep] / np.sqrt(d[keep])
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
-            raise ValueError(
-                "variance proxies or studentized means overflow; "
-                "rescale the data"
-            )
+    slices = _column_slices(rows, n_columns)
+    work = partial(_fold_chunk, block, rows, one_sided, batch_size)
+    for cols, (d, chunk_sums, chunk_scale, sided, peak) in zip(
+        slices, imap(work, slices)
+    ):
         diag[cols] = d
-        take = z.shape[0]
-        if take:
-            sided = one_sided[cols][keep]
-            statistic = max(statistic, float(np.where(sided, z, np.abs(z)).max()))
-            sums[:, kept : kept + take] = chunk_sums[:, keep]
-            scale[kept : kept + take] = math.sqrt(batch_size * omega) * np.sqrt(d[keep])
-            kept_sided[kept : kept + take] = sided
-            kept += take
+        take = len(sided)
+        statistic = max(statistic, peak)
+        sums[:, kept : kept + take] = chunk_sums
+        scale[kept : kept + take] = chunk_scale
+        kept_sided[kept : kept + take] = sided
+        kept += take
     return _Fold(statistic, diag, sums[:, :kept], scale[:kept], kept_sided[:kept])
 
 
@@ -190,15 +277,14 @@ def _seq_fold(seq: EstimateSequence, batch_size: int) -> _Fold:
     return _fold(lambda cols: seq.values[:, cols], seq.n_rows, seq.one_sided, batch_size)
 
 
-def _coordinate_tiles(fold: _Fold, num_draws: int, seed, multipliers):
-    """Yield (draw slice, column slice, studentized coordinates) tiles,
-    draw chunk by draw chunk; one generator serves both the sup-norm
-    reduction and the raw-coordinate diagnostic.
+def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers):
+    """Yield (draw slice, multiplier chunk) pairs of about
+    ``_CHUNK_BUDGET`` values each.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
     """
-    omega, kept = fold.sums.shape
+    omega = fold.sums.shape[0]
     rng = np.random.default_rng(seed)
     if multipliers is not None:
         multipliers = np.asarray(multipliers, dtype=float)
@@ -214,21 +300,65 @@ def _coordinate_tiles(fold: _Fold, num_draws: int, seed, multipliers):
             e = rng.standard_normal((take, omega))
         else:
             e = multipliers[start : start + take]
-        width = max(1, _CHUNK_BUDGET // take)
-        for lo in range(0, kept, width):
-            cols = slice(lo, lo + width)
-            coord = e @ fold.sums[:, cols]
-            coord /= fold.scale[cols]
-            yield slice(start, start + take), cols, coord
+        yield slice(start, start + take), e
 
 
-def _draws(fold: _Fold, num_draws: int, seed, multipliers=None) -> np.ndarray:
-    """Sup-norm draws: per draw, the largest coordinate, signed for
-    one-sided columns and absolute otherwise."""
+def _coordinate_tiles(fold: _Fold, draws: int):
+    """(draw rows, kept columns) tiles of a chunk of ``draws``
+    multipliers: at most ``_TILE_SIDE`` rows and columns and
+    ``_BLOCK_BUDGET`` coordinates each, and at most half the kept
+    columns wide, so that two threads share even a narrow chunk.
+
+    The sup-norm draws and the raw-coordinate diagnostic multiply
+    exactly these tiles.  They depend only on the shapes, never on the
+    thread count: BLAS blocking may change low bits with the tile shape.
+    """
+    kept = fold.k_effective
+    height = max(1, min(draws, _TILE_SIDE, _BLOCK_BUDGET))
+    width = max(1, min(_TILE_SIDE, _BLOCK_BUDGET // height, (kept + 1) // 2))
+    return [
+        (slice(lo, lo + height), slice(left, left + width))
+        for left in range(0, kept, width)
+        for lo in range(0, draws, height)
+    ]
+
+
+def _coordinates(fold: _Fold, e: np.ndarray, cols: slice) -> np.ndarray:
+    """Studentized bootstrap coordinates of the kept columns ``cols``
+    under the multiplier chunk ``e``."""
+    coord = e @ fold.sums[:, cols]
+    coord /= fold.scale[cols]
+    return coord
+
+
+def _tile_peaks(fold: _Fold, e: np.ndarray, tile) -> np.ndarray:
+    """Per draw of a tile of the chunk ``e``, the tile's largest
+    coordinate, signed for one-sided columns and absolute otherwise."""
+    rows, cols = tile
+    coord = _coordinates(fold, e[rows], cols)
+    np.abs(coord, out=coord, where=~fold.one_sided[cols])
+    return coord.max(axis=1)
+
+
+def _draws(fold: _Fold, num_draws: int, seed, multipliers=None, imap=map) -> np.ndarray:
+    """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
+    peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap``)
+    combine by ``max``, which is exact.
+
+    The calling thread draws the next chunk while the threads work on
+    the current one, so at most two chunks are alive for any thread
+    count.
+    """
     out = np.full(num_draws, -np.inf)
-    for draws, cols, coord in _coordinate_tiles(fold, num_draws, seed, multipliers):
-        np.abs(coord, out=coord, where=~fold.one_sided[cols])
-        np.maximum(out[draws], coord.max(axis=1), out=out[draws])
+    chunks = _multiplier_chunks(fold, num_draws, seed, multipliers)
+    chunk = next(chunks, None)
+    while chunk is not None:
+        draws, e = chunk
+        tiles = _coordinate_tiles(fold, len(e))
+        peaks = imap(partial(_tile_peaks, fold, e), tiles)
+        chunk = next(chunks, None)
+        for (rows, _), tile_peaks in zip(tiles, peaks):
+            np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
     return out
 
 
@@ -283,8 +413,9 @@ def bootstrap_coordinates(
     """
     fold = _require_columns(_seq_fold(seq, batch_size))
     out = np.empty((num_draws, fold.k_effective))
-    for draws, cols, coord in _coordinate_tiles(fold, num_draws, seed, multipliers):
-        out[draws, cols] = coord
+    for draws, e in _multiplier_chunks(fold, num_draws, seed, multipliers):
+        for rows, cols in _coordinate_tiles(fold, len(e)):
+            out[draws][rows, cols] = _coordinates(fold, e[rows], cols)
     return out
 
 
@@ -299,7 +430,9 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
     return float(draws[idx - 1])
 
 
-def _fold_and_draw(data, constraints: ConstraintSystem, config: BootstrapConfig):
+def _fold_and_draw(
+    data, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int
+):
     if isinstance(config.seed, np.random.SeedSequence):
         ss = config.seed
     else:
@@ -311,15 +444,17 @@ def _fold_and_draw(data, constraints: ConstraintSystem, config: BootstrapConfig)
     source = column_source(data, constraints, config.mode, subsample, config.center)
     if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
-    fold = _fold(source.block, source.rows, source.one_sided, config.batch_size)
-    fold = _require_columns(fold)
-    return fold, _draws(fold, config.num_multipliers, mult_ss)
+    with _ordered_map(jobs) as imap:
+        fold = _fold(source.block, source.rows, source.one_sided, config.batch_size, imap)
+        fold = _require_columns(fold)
+        return fold, _draws(fold, config.num_multipliers, mult_ss, imap=imap)
 
 
 def statistic_and_draws(data, constraints: ConstraintSystem, config: BootstrapConfig):
     """The test statistic and its bootstrap draws, from one pass over
-    the estimate columns; ``run_test`` compares exactly these."""
-    fold, draws = _fold_and_draw(data, constraints, config)
+    the estimate columns on the calling thread; ``run_test`` compares
+    exactly these."""
+    fold, draws = _fold_and_draw(data, constraints, config, 1)
     return fold.statistic, draws
 
 
@@ -330,8 +465,10 @@ def run_test(
 
     The estimate columns are built, reduced and dropped chunk by chunk;
     only the batch sums of the kept columns are held for the draws.
+    Column chunks and coordinate tiles run on one thread per usable
+    core; the result is the same for any count.
     """
-    fold, draws = _fold_and_draw(data, constraints, config)
+    fold, draws = _fold_and_draw(data, constraints, config, _usable_cores())
     stat = fold.statistic
     quantile = quantile_from_draws(draws, config.alpha)
     p_value = (float(np.count_nonzero(draws >= stat)) + 1.0) / (

@@ -56,13 +56,12 @@ def _monomial_columns(x: np.ndarray, triples: np.ndarray) -> np.ndarray:
 class EstimateSequence:
     """Estimate columns in canonical constraint order.
 
-    ``values`` has n - dependence_order rows; ``one_sided[k]`` marks
-    inequality columns, which enter max statistics without absolute
-    value.
+    ``values`` has one row per estimate (n - 1 for equality columns,
+    n - 2 once sign columns are on); ``one_sided[k]`` marks inequality
+    columns, which enter max statistics without absolute value.
     """
 
     values: np.ndarray
-    dependence_order: int
     one_sided: np.ndarray
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class EstimateSequence:
             raise ValueError("values must be two-dimensional")
         if not np.all(np.isfinite(values)):
             raise ValueError("estimate values contain non-finite entries")
-        if self.dependence_order not in (1, 2):
-            raise ValueError("dependence_order must be 1 or 2")
         one_sided = np.asarray(self.one_sided, dtype=bool)
         if one_sided.shape != (values.shape[1],):
             raise ValueError("one_sided mask must have one entry per column")
@@ -96,14 +93,14 @@ class ColumnSource:
 
     ``quads`` holds one (a, b, c, d) row per difference column and
     ``triples`` one (p, q, r) row per sign column; sign columns follow
-    every difference column.  ``rows`` is n - dependence_order.
+    every difference column.  ``rows`` is n - 1, or n - 2 when there
+    are sign columns (three consecutive rows per estimate).
     """
 
     x: np.ndarray
     quads: np.ndarray
     triples: np.ndarray
     rows: int
-    dependence_order: int
 
     @property
     def n_columns(self) -> int:
@@ -173,7 +170,7 @@ def column_source(
         split = np.searchsorted(sel, len(quads))
         triples = triples[sel[split:] - len(quads)]
         quads = quads[sel[:split]]
-    return ColumnSource(x, quads, triples, n - order, order)
+    return ColumnSource(x, quads, triples, n - order)
 
 
 def build_estimate_matrix(
@@ -202,7 +199,7 @@ def build_estimate_matrix(
     """
     source = column_source(data, constraints, mode, subsample, center)
     values = source.block(slice(0, source.n_columns))
-    return EstimateSequence(values, source.dependence_order, source.one_sided)
+    return EstimateSequence(values, source.one_sided)
 
 
 def plugin_tetrads(data, constraints: ConstraintSystem) -> np.ndarray:

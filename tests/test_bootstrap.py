@@ -8,6 +8,9 @@ the quadratic form) use fixed seeds and wide tolerance bands.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from treegof.bootstrap import (
     multiplier_draws,
     quantile_from_draws,
     run_test,
+    statistic_and_draws,
 )
 from treegof.bootstrap import test_statistic as sup_statistic
 from treegof.estimators import EstimateSequence, build_estimate_matrix
@@ -38,7 +42,7 @@ def _seq(values, one_sided=None):
         values = values[:, None]
     k = values.shape[1]
     sided = np.zeros(k, dtype=bool) if one_sided is None else np.asarray(one_sided)
-    return EstimateSequence(values, 1, sided)
+    return EstimateSequence(values, sided)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,26 @@ def test_batched_diag_manual_oracle():
         sums = [values[i : i + 5, j].sum() - 5 * mean[j] for i in (0, 5, 10)]
         expect = sum(s * s for s in sums) / 15.0
         assert got[j] == pytest.approx(expect, rel=1e-12)
+
+
+def test_batch_sums_add_rows_in_order():
+    # the rows of a batch add in row order, whatever the batch size, so
+    # the sums match a plain Python loop bit for bit
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(34, 8)) * 10.0 ** rng.integers(-3, 4, size=8)
+    for batch in (3, 10):
+        fold = btmod._seq_fold(_seq(values), batch)
+        # each column's mean from the column as one contiguous vector
+        dev = values - [values[:, c].copy().mean() for c in range(values.shape[1])]
+        omega = len(values) // batch
+        expect = np.empty((omega, values.shape[1]))
+        for i in range(omega):
+            for c in range(values.shape[1]):
+                total = dev[i * batch, c]
+                for row in range(i * batch + 1, (i + 1) * batch):
+                    total += dev[row, c]
+                expect[i, c] = total
+        np.testing.assert_array_equal(fold.sums, expect)
 
 
 def test_statistic_zero_when_means_vanish():
@@ -169,35 +193,92 @@ def test_draws_seed_determinism():
     assert not np.array_equal(a, c)
 
 
+def _set_budgets(monkeypatch, chunk, block):
+    monkeypatch.setattr(btmod, "_CHUNK_BUDGET", chunk)
+    monkeypatch.setattr(btmod, "_BLOCK_BUDGET", block)
+
+
 def test_draws_invariant_to_chunk_size(monkeypatch):
     rng = np.random.default_rng(5)
     seq = _seq(rng.normal(size=(33, 4)))
     full = multiplier_draws(seq, 3, 50, 99)
     diag = batched_diag(seq, 3)
-    default = btmod._CHUNK_BUDGET
-    monkeypatch.setattr(btmod, "_CHUNK_BUDGET", 7)
-    chunked = multiplier_draws(seq, 3, 50, 99)
-    # the multiplier stream is identical; only matmul blocking may differ
-    np.testing.assert_allclose(chunked, full, rtol=1e-12)
-    np.testing.assert_array_equal(batched_diag(seq, 3), diag)
+    defaults = btmod._CHUNK_BUDGET, btmod._BLOCK_BUDGET
+    side = btmod._TILE_SIDE
+    for chunk, block, tile_side in (
+        (7, defaults[1], side), (defaults[0], 7, side), (7, 7, side), (*defaults, 2)
+    ):
+        _set_budgets(monkeypatch, chunk, block)
+        monkeypatch.setattr(btmod, "_TILE_SIDE", tile_side)
+        chunked = multiplier_draws(seq, 3, 50, 99)
+        # the multiplier stream is identical; only matmul blocking may differ
+        np.testing.assert_allclose(chunked, full, rtol=1e-12)
+        np.testing.assert_array_equal(batched_diag(seq, 3), diag)
 
-    # whole runs: a budget of 1 gives one column per chunk, one draw per
-    # multiplier chunk and one-column coordinate tiles; 3 * omega gives
-    # three draws per chunk.  Per-column arithmetic does not depend on
-    # the chunking, so the statistic is exact.
+    # whole runs: budgets of 1 give one column per chunk, one draw per
+    # multiplier chunk and one-coordinate tiles; 3 * omega gives three
+    # draws per chunk and tiles of up to omega columns.  Per-column
+    # arithmetic does not depend on the chunking, so the statistic is
+    # exact.
     for kwargs in ({"mode": "equalities"}, {"mode": "all"}, {"subsample": 15}):
         data, system, config = _null_case(6, 250, 3, **kwargs)
-        monkeypatch.setattr(btmod, "_CHUNK_BUDGET", default)
+        _set_budgets(monkeypatch, *defaults)
+        monkeypatch.setattr(btmod, "_TILE_SIDE", side)
         whole = run_test(data, system, config)
         omega = (250 - (2 if kwargs.get("mode") == "all" else 1)) // 3
         for budget in (1, 3 * omega):
-            monkeypatch.setattr(btmod, "_CHUNK_BUDGET", budget)
+            _set_budgets(monkeypatch, budget, budget)
             got = run_test(data, system, config)
             assert (got.statistic, got.k_effective, got.diag_floor_hits, got.reject) == (
                 whole.statistic, whole.k_effective, whole.diag_floor_hits, whole.reject
             ), kwargs
             assert got.quantile == pytest.approx(whole.quantile, rel=1e-12, abs=0)
             assert got.p_value == pytest.approx(whole.p_value, rel=1e-12, abs=0)
+
+
+def _constant_column_case():
+    # a constant variable makes every column that holds it constant
+    data, system, config = _null_case(6, 250, 8)
+    x = data.data.copy()
+    x[:, 0] = 2.5
+    return x, system, config
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _null_case(6, 250, 3),
+        lambda: _null_case(6, 250, 4, mode="all"),
+        lambda: _null_case(6, 250, 5, subsample=15),
+        _constant_column_case,
+    ],
+    ids=["equalities", "all", "subsample", "constant-column"],
+)
+def test_results_invariant_to_thread_count(monkeypatch, case):
+    # tiny budgets: four-column chunks, four draws per multiplier chunk
+    # and seven-column tiles, so many blocks are in flight at once
+    data, system, config = case()
+    rows = 250 - (2 if config.mode == "all" else 1)
+    _set_budgets(monkeypatch, 4 * (rows // 3), 4 * rows)
+    monkeypatch.setattr(btmod, "_TILE_SIDE", 7)
+    monkeypatch.setattr(btmod, "_usable_cores", lambda: 1)
+    base = run_test(data, system, config)
+    stat, draws = statistic_and_draws(data, system, config)
+    if case is _constant_column_case:
+        assert base.diag_floor_hits == 20 and base.k_effective == 10
+    # switch threads often, so that blocks finish out of order
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in (2, 3):
+            monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+            # every field compared with ==, floats included
+            assert run_test(data, system, config) == base
+            fold, got_draws = btmod._fold_and_draw(data, system, config, jobs)
+            assert fold.statistic == stat
+            np.testing.assert_array_equal(got_draws, draws)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_coordinates_have_unit_conditional_variance():
@@ -365,29 +446,85 @@ def test_run_test_mixed_sign_alternative():
     assert np.isfinite(result.statistic)
 
 
-def test_run_test_memory_below_estimate_matrix():
-    # a 20-leaf star at n=500 has k=9,690 columns; the n x k estimate
-    # matrix alone would take 37 MiB, the kept batch sums take 12 MiB
+def test_run_test_memory_below_estimate_matrix(monkeypatch):
+    # m=20 star: k = 9,690 columns, so the n x k estimate matrix would
+    # take 38.7 MB; the chunked fold keeps only the omega x k batch sums
     system = enumerate_constraints(star_tree(20))
     data = sample(covariance_from_factor(setup_params(1, 20, seed=0)), 500, seed=1)
     matrix_bytes = 499 * system.n_equality_terms * 8
-    tracemalloc.start()
-    try:
-        result = run_test(data, system, BootstrapConfig(seed=0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.k_effective == 9690
-    assert peak < matrix_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+    for jobs in (1, 2):
+        monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+        tracemalloc.start()
+        try:
+            result = run_test(data, system, BootstrapConfig(seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.k_effective == 9690
+        assert peak < matrix_bytes, f"jobs={jobs}: traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_draws_memory_flat_in_thread_count(monkeypatch):
+    # many batches and two tiles per multiplier chunk, with tiles slower
+    # than the draw of a chunk: the draws still run ahead by at most one
+    # chunk, however many threads take the tiles
+    system = enumerate_constraints(star_tree(8))
+    data = sample(covariance_from_factor(setup_params(1, 8, seed=0)), 6002, seed=2)
+    fold = btmod._seq_fold(build_estimate_matrix(data, system, mode="all"), 2)
+    omega = (6002 - 2) // 2
+    chunk_bytes = (btmod._CHUNK_BUDGET // omega) * omega * 8
+    assert len(btmod._coordinate_tiles(fold, btmod._CHUNK_BUDGET // omega)) == 2
+    tile_peaks = btmod._tile_peaks
+
+    def slow_tile_peaks(*args):
+        time.sleep(0.01)
+        return tile_peaks(*args)
+
+    monkeypatch.setattr(btmod, "_tile_peaks", slow_tile_peaks)
+    peaks, draws = {}, {}
+    for jobs in (1, 16):
+        with btmod._ordered_map(jobs) as imap:
+            tracemalloc.start()
+            try:
+                draws[jobs] = btmod._draws(fold, 1000, 3, imap=imap)
+                _, peaks[jobs] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    np.testing.assert_array_equal(draws[16], draws[1])
+    assert peaks[16] < peaks[1] + chunk_bytes / 2, {j: p / 2**20 for j, p in peaks.items()}
+
+
+def _raises_unchanged(monkeypatch, data, system, config, match):
+    # a worker's error reaches the caller as it is, whichever thread
+    # raised it, and no thread outlives the call
+    threads = threading.active_count()
+    messages = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+        with pytest.raises(ValueError, match=match) as err:
+            run_test(data, system, config)
+        messages.append(str(err.value))
+        assert threading.active_count() == threads
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_run_test_overflowing_data_fails_loudly():
+def test_run_test_overflowing_data_fails_loudly(monkeypatch):
     # squared batch sums of data scaled by 1e40 overflow; the test must
-    # not report statistic 0 and p = 1
+    # not report statistic 0 and p = 1.  One column per chunk, so the
+    # error comes from many chunks in flight.
     data, system, config = _null_case(6, 300, 0)
-    with pytest.raises(ValueError, match="overflow"):
-        run_test(data.data * 1e40, system, config)
+    _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
+    monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
+    _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
+
+
+def test_run_test_non_finite_data_fails_loudly(monkeypatch):
+    data, system, config = _null_case(6, 300, 0)
+    x = data.data.copy()
+    x[7, 3] = np.nan
+    monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
+    _raises_unchanged(monkeypatch, x, system, config, "non-finite")
 
 
 def test_run_test_errors():

@@ -355,6 +355,27 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch):
+    # replications are spread over --jobs processes; a thread pool per
+    # replication on top of them would oversubscribe the cores
+    seen = []
+    ordered_map = treegof.bootstrap._ordered_map
+
+    def recording(jobs):
+        seen.append(jobs)
+        return ordered_map(jobs)
+
+    monkeypatch.setattr(treegof.bootstrap, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(treegof.bootstrap, "_ordered_map", recording)
+    assert main([
+        "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "3",
+        "--multipliers", "50", "--seed", "2", "--alpha-grid", "0.05",
+        "--out", str(tmp_path / "sizes.csv"),
+    ]) == 0
+    capsys.readouterr()
+    assert seen == [1, 1, 1]
+
+
 def test_simulate_bad_alpha_grid(tmp_path, capsys):
     rc = main([
         "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "2",

@@ -123,7 +123,6 @@ def test_build_matrix_star4_columns():
     seq = build_estimate_matrix(x, sys)
     assert seq.n_columns == 2
     assert seq.n_rows == 29
-    assert seq.dependence_order == 1
     # s14*s23 - s13*s24 and s12*s34 - s13*s24
     assert sys.equality_column_pairs().tolist() == [[0, 3, 1, 2], [0, 1, 3, 2]]
     assert not seq.one_sided.any()
@@ -144,7 +143,6 @@ def test_build_matrix_with_inequality_columns():
     seq = build_estimate_matrix(x, sys, mode="all")
     assert seq.n_columns == 6
     assert seq.n_rows == 23
-    assert seq.dependence_order == 2
     np.testing.assert_array_equal(
         seq.one_sided, [False, False, True, True, True, True]
     )
@@ -265,6 +263,6 @@ def test_reversal_relabeling_permutes_plugin_values():
 
 def test_estimate_sequence_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
-        EstimateSequence(np.array([[1.0, np.nan]]), 1, np.zeros(2, dtype=bool))
+        EstimateSequence(np.array([[1.0, np.nan]]), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="one entry per column"):
-        EstimateSequence(np.ones((3, 2)), 1, np.zeros(3, dtype=bool))
+        EstimateSequence(np.ones((3, 2)), np.zeros(3, dtype=bool))
