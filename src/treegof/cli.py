@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 from multiprocessing import get_context
 
@@ -65,14 +66,19 @@ def _write_rows(path, header, rows):
             emit(fh)
 
 
-def _read_matrix_csv(path):
-    """Read a CSV with one header row of names and float rows."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _csv_header(path, reader):
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file")
+
+
+def _read_csv_loop(path):
+    """Read a CSV with one header row of names and float rows, field by
+    field; an error names the file's line."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file")
+        names = _csv_header(path, reader)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -83,7 +89,7 @@ def _read_matrix_csv(path):
                     f"got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                rows.append([float(v.strip()) for v in row])
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: non-numeric field")
     if not rows:
@@ -91,22 +97,52 @@ def _read_matrix_csv(path):
     return [n.strip() for n in names], np.asarray(rows, dtype=float)
 
 
-def _observed_order(names, tree):
-    """Positions of the tree's observed variables among the CSV columns.
+def _read_matrix_csv(path):
+    """Read a CSV with one header row of names and float rows.
 
-    Column names that are a permutation of the observed ids are matched
-    by name; otherwise the count must agree, order is positional and
-    None is returned.
+    ``np.loadtxt`` parses the body when it can: unquoted numbers, as
+    many per row as the header has names.  Anything else, errors
+    included, is read again by ``_read_csv_loop``, which gives the same
+    values for what both accept and names the line of an error.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        names = _csv_header(path, csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # a body without rows warns; the loop reports it
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+    if values is None or values.shape[0] == 0 or values.shape[1] != len(names):
+        return _read_csv_loop(path)
+    return [n.strip() for n in names], values
+
+
+def _observed_order(names, tree):
+    """Positions of the tree's observed variables among the CSV columns,
+    or None when the columns are already in the tree's order.
+
+    A header that names no observed id is matched by position, so only
+    the counts must agree.  Any other header must be a permutation of
+    the observed ids and is matched by name.
     """
     observed = list(tree.observed)
-    if names != observed and sorted(names) == sorted(observed):
-        return [names.index(v) for v in observed]
-    if len(names) == len(observed):
+    problems = []
+    if len(names) != len(observed):
+        problems.append(
+            f"data has {len(names)} columns but the tree observes "
+            f"{len(observed)} variables"
+        )
+    positional = set(names).isdisjoint(observed)
+    missing = [] if positional else [v for v in observed if v not in names]
+    if missing:
+        problems.append("the data header lacks " + ", ".join(missing))
+    if problems:
+        raise ValueError("; ".join(problems))
+    if positional or names == observed:
         return None
-    raise ValueError(
-        f"data has {len(names)} columns but the tree observes "
-        f"{len(observed)} variables"
-    )
+    return [names.index(v) for v in observed]
 
 
 def _star_tree(m: int) -> LatentTree:
@@ -200,8 +236,7 @@ def cmd_test(args) -> int:
     names, values = _read_matrix_csv(args.data)
     order = _observed_order(names, tree)
     if order is not None:
-        # keep C layout so reductions round identically to the unshuffled path
-        values = np.ascontiguousarray(values[:, order])
+        values = values[:, order]
     data = SampleMatrix(values, tuple(tree.observed))
     result = run_test(data, system, _bootstrap_config(args))
     report = {

@@ -141,8 +141,14 @@ def column_source(
         raise ValueError(
             f"data has {m} columns but constraints expect {constraints.m}"
         )
+    # The builders gather whole variables, so the working copy is
+    # column-major; the products are elementwise and round the same in
+    # any layout.  The mean is summed over C-ordered rows whatever the
+    # input layout, since numpy sums the two layouts differently.
     if center and n > 0:
-        x = x - x.mean(axis=0)
+        x = np.subtract(x, np.ascontiguousarray(x).mean(axis=0), order="F")
+    else:
+        x = np.asfortranarray(x)
     quads = constraints.equality_column_pairs()
     if mode == "equalities":
         if n < 2:

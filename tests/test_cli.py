@@ -12,11 +12,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treegof
+import treegof.cli as climod
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
 from treegof.model import sample
@@ -298,6 +302,136 @@ def test_test_command_reorders_named_columns(tmp_path, capsys):
     assert json.loads(first) == json.loads(second)
 
 
+def _swap_first_last(tmp_path, gen, name, prefix=""):
+    header, rows = read_csv(gen)
+    values = np.array([[float(v) for v in row] for row in rows])
+    order = list(range(len(header)))
+    order[0], order[-1] = order[-1], order[0]
+    path = tmp_path / name
+    write_data_csv(path, [header[j] for j in order], values[:, order])
+    path.write_bytes(prefix.encode("utf-8") + path.read_bytes())
+    return path
+
+
+def test_test_command_byte_order_mark_keeps_names(tmp_path, capsys):
+    # a BOM before the first name must not demote the header to
+    # positional matching
+    tree = star_file(tmp_path, 4)
+    gen = tmp_path / "data.csv"
+    main(["generate", "--setup", "1", "--m", "4", "--n", "200",
+          "--seed", "4", "--out", str(gen)])
+    capsys.readouterr()
+    plain = _swap_first_last(tmp_path, gen, "plain.csv")
+    bom = _swap_first_last(tmp_path, gen, "bom.csv", prefix="\ufeff")
+    reports = []
+    for path in (gen, plain, bom):
+        assert main(["test", "--tree", str(tree), "--data", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_test_command_header_naming_some_ids_must_name_all(tmp_path, capsys):
+    tree = star_file(tmp_path, 3)
+    data = tmp_path / "typo.csv"
+    write_data_csv(data, ["x1", "x2", "xx3"], np.ones((10, 3)))
+    assert main(["test", "--tree", str(tree), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lacks x3" in err
+
+
+def test_test_command_header_naming_no_ids_is_positional(tmp_path, capsys):
+    tree = star_file(tmp_path, 3)
+    values = sample(np.full((3, 3), 0.5) + 0.5 * np.eye(3), 150, seed=6).data
+    named = tmp_path / "named.csv"
+    write_data_csv(named, ["x1", "x2", "x3"], values)
+    other = tmp_path / "other.csv"
+    write_data_csv(other, ["a", "b", "c"], values)
+    reports = []
+    for path in (named, other):
+        args = ["test", "--tree", str(tree), "--data", str(path), "--mode", "all"]
+        assert main(args) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# data CSV reader
+
+# numbers both readers take, padded with whitespace as ``str.isspace``
+# knows it (``float`` alone refuses the ASCII separators \x1c-\x1f)
+_NUMBERS = st.builds(
+    lambda pad, number, tail: pad + number + tail,
+    st.sampled_from(["", "", " ", "\t", "\x1c", "\x1f", "\u00a0"]),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(-1e6, 1e6).map(lambda v: format(v, ".17g")),
+        st.sampled_from(["nan", "-inf", "Infinity", "NaN", "1e-3", "+.5", "-0"]),
+    ),
+    st.sampled_from(["", "", " ", "\t", "\x1d", "\x1e"]),
+)
+# fields only the loop takes, or neither
+_OTHERS = st.sampled_from(["1_0", '"2.5"', '"3,5"', "#4", "", " ", "abc", "0x10"])
+_EXTRA_LINES = st.sampled_from(["", " ", "\t", "# comment", "#1,2", '"1",2'])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = [",".join(f"x{i}" for i in range(1, width + 1))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_EXTRA_LINES))
+            continue
+        count = width + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        fields = [
+            draw(_OTHERS if draw(st.integers(0, 9)) == 0 else _NUMBERS)
+            for _ in range(count)
+        ]
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+def _read_outcome(read, path):
+    try:
+        names, values = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return names, values.shape, values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_csv_fast_path_matches_the_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(climod._read_matrix_csv, path) == _read_outcome(
+        climod._read_csv_loop, path
+    )
+
+
+def test_csv_fast_path_reads_plain_numbers_alone(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("the loop was not expected to run")
+
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes("\ufeffa,b\r\n1,nan\r\n\r\n-inf, 2e3 \r\n3,4".encode("utf-8"))
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('a,b\n"1",2\n', encoding="utf-8")
+    expected = climod._read_csv_loop(plain)
+    monkeypatch.setattr(climod, "_read_csv_loop", refuse)
+    names, values = climod._read_matrix_csv(plain)
+    assert names == expected[0] == ["a", "b"]
+    assert values.tobytes() == expected[1].tobytes()
+    with pytest.raises(AssertionError):
+        climod._read_matrix_csv(quoted)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -460,7 +594,10 @@ def test_header_only_csv_fails_cleanly(tmp_path, capsys):
     data = tmp_path / "header.csv"
     data.write_text("x3,x1,x4,x2\n", encoding="utf-8")
     for command in ("check-metric", "test"):
-        assert main([command, "--tree", str(tree_path), "--data", str(data)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--tree", str(tree_path), "--data", str(data)])
+        assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no data rows" in err
         assert "Traceback" not in err

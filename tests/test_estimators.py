@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import star_tree
+from conftest import random_latent_tree, star_tree
+from treegof.bootstrap import BootstrapConfig, run_test
 from treegof.estimators import (
     EstimateSequence,
     build_estimate_matrix,
@@ -266,3 +269,51 @@ def test_estimate_sequence_rejects_bad_input():
         EstimateSequence(np.array([[1.0, np.nan]]), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="one entry per column"):
         EstimateSequence(np.ones((3, 2)), np.zeros(3, dtype=bool))
+
+
+def _row_major_columns(x, system, mode, center):
+    """The estimate matrix from row-major data: the builder's arithmetic
+    gathering from C-ordered rows."""
+    x = np.ascontiguousarray(x)
+    if center:
+        x = x - x.mean(axis=0)
+    rows = len(x) - (2 if mode == "all" else 1)
+    a, b, c, d = system.equality_column_pairs().T
+    u, v = x[:rows], x[1 : rows + 1]
+    eq = u[:, a] * u[:, b] * v[:, c] * v[:, d] - u[:, a] * u[:, d] * v[:, c] * v[:, b]
+    if mode == "equalities":
+        return eq
+    p, q, r = system.sign_triples().T
+    w0, w1, w2 = x[:-2], x[1:-1], x[2:]
+    mono = w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
+    return np.hstack([eq, -mono])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["equalities", "all"]),
+    st.booleans(),
+)
+def test_column_major_build_matches_row_major_arithmetic(seed, mode, center):
+    rng = np.random.default_rng(seed)
+    system = enumerate_constraints(random_latent_tree(rng, m_lo=3, m_hi=7))
+    n = int(rng.integers(8, 60))
+    x = rng.standard_normal((n, system.m)) * rng.uniform(0.1, 10.0, system.m)
+    x += rng.normal(0.0, 3.0, system.m)
+    expected = _row_major_columns(x, system, mode, center)
+    for data in (x, np.asfortranarray(x)):
+        built = build_estimate_matrix(data, system, mode, center=center)
+        assert np.array_equal(built.values, expected)
+
+    config = BootstrapConfig(num_multipliers=50, seed=seed, mode=mode, center=center)
+    by_rows = _outcome(lambda: run_test(x, system, config))
+    by_columns = _outcome(lambda: run_test(np.asfortranarray(x), system, config))
+    assert by_rows == by_columns
