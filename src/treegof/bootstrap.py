@@ -22,7 +22,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimators import EstimateSequence, column_source, plugin_tetrads
+from .estimators import (
+    EstimateSequence,
+    _data_array,
+    column_source,
+    plugin_tetrads,
+)
 from .tree import ConstraintSystem
 
 __all__ = [
@@ -504,10 +509,10 @@ def hotelling_statistic(
     Returns the statistic, the column count as nominal degrees of
     freedom, and the numerical rank actually used.
     """
+    x = _data_array(data)
     m = constraints.m
     if m > 8:
         raise ValueError("quadratic-form statistic is limited to m <= 8")
-    x = np.asarray(data.data if hasattr(data, "data") else data, dtype=float)
     n = x.shape[0]
     k_cols = constraints.n_equality_terms
     if k_cols == 0:

@@ -21,6 +21,7 @@ import json
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -75,23 +76,24 @@ def _csv_header(path, reader):
 
 def _read_csv_loop(path):
     """Read a CSV with one header row of names and float rows, field by
-    field; an error names the file's line."""
+    field; an error names the file's line (the last line of a record
+    whose quoted fields span lines)."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         names = _csv_header(path, reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(names):
                 raise ValueError(
-                    f"{path} line {lineno}: expected {len(names)} fields, "
-                    f"got {len(row)}"
+                    f"{path} line {reader.line_num}: expected {len(names)} "
+                    f"fields, got {len(row)}"
                 )
             try:
                 rows.append([float(v.strip()) for v in row])
             except ValueError:
-                raise ValueError(f"{path} line {lineno}: non-numeric field")
+                raise ValueError(f"{path} line {reader.line_num}: non-numeric field")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return [n.strip() for n in names], np.asarray(rows, dtype=float)
@@ -259,14 +261,7 @@ def cmd_test(args) -> int:
     return 0
 
 
-_WORKER = {}
-
-
-def _init_simulate_worker(cov, system, n, config, entropy):
-    _WORKER.update(cov=cov, system=system, n=n, config=config, entropy=entropy)
-
-
-def _simulate_rep(rep: int):
+def _simulate_rep(cov, system, n, config, entropy, rep):
     """One replication: draw data, return the statistic and its draws.
 
     The data come from ``SeedSequence(entropy, spawn_key=(rep, 0))`` and
@@ -275,13 +270,10 @@ def _simulate_rep(rep: int):
     integer, so a replication can be rerun through the Python API with
     these seed sequences, not from the command line.
     """
-    w = _WORKER
-    data_ss = SeedSequence(entropy=w["entropy"], spawn_key=(rep, 0))
-    test_ss = SeedSequence(entropy=w["entropy"], spawn_key=(rep, 1))
-    x = sample(w["cov"], w["n"], data_ss).data
-    config = replace(w["config"], seed=test_ss)
-    stat, draws = statistic_and_draws(x, w["system"], config)
-    return rep, stat, draws
+    data_ss = SeedSequence(entropy=entropy, spawn_key=(rep, 0))
+    test_ss = SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+    x = sample(cov, n, data_ss).data
+    return statistic_and_draws(x, system, replace(config, seed=test_ss))
 
 
 def cmd_simulate(args) -> int:
@@ -292,22 +284,18 @@ def cmd_simulate(args) -> int:
     params = setup_params(
         args.setup, args.m, SeedSequence(entropy=args.seed, spawn_key=(0, 2))
     )
-    cov = covariance_from_factor(params)
-    init_args = (cov, system, args.n, _bootstrap_config(args), args.seed)
-    reps = range(args.reps)
+    run_rep = partial(
+        _simulate_rep, covariance_from_factor(params), system, args.n,
+        _bootstrap_config(args), args.seed,
+    )
     if args.jobs > 1:
-        ctx = get_context("spawn")
-        with ctx.Pool(
-            args.jobs, initializer=_init_simulate_worker, initargs=init_args
-        ) as pool:
-            results = pool.map(_simulate_rep, reps)
+        with get_context("spawn").Pool(args.jobs) as pool:
+            results = pool.map(run_rep, range(args.reps))
     else:
-        _init_simulate_worker(*init_args)
-        results = [_simulate_rep(rep) for rep in reps]
-    results.sort(key=lambda r: r[0])
+        results = list(map(run_rep, range(args.reps)))
 
     rejects = np.zeros((len(alphas), args.reps), dtype=bool)
-    for rep, stat, draws in results:
+    for rep, (stat, draws) in enumerate(results):
         for i, alpha in enumerate(alphas):
             rejects[i, rep] = stat > quantile_from_draws(draws, alpha)
     sizes = rejects.mean(axis=1)

@@ -592,6 +592,8 @@ def test_hotelling_input_errors():
     data9 = sample(np.eye(9), 50, seed=0)
     with pytest.raises(ValueError, match="m <= 8"):
         hotelling_statistic(data9, system9)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        hotelling_statistic(data9.data[:, 0], system9)
     system4 = enumerate_constraints(star_tree(4))
     short = sample(np.eye(4), 2, seed=0)
     with pytest.raises(ValueError, match="need n > 2"):

@@ -415,6 +415,22 @@ def test_csv_fast_path_matches_the_loop(tmp_path_factory, text):
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        'a,b\n"1\n",2\n3,x\n',  # a quoted field spans lines 2 and 3
+        '"a\nb",c\n1,2\n3,x\n',  # the header spans lines 1 and 2
+    ],
+)
+def test_csv_error_names_the_file_line(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    for read in (climod._read_matrix_csv, climod._read_csv_loop):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path} line 4: non-numeric field"
+
+
 def test_csv_fast_path_reads_plain_numbers_alone(tmp_path, monkeypatch):
     def refuse(path):
         raise AssertionError("the loop was not expected to run")
@@ -477,16 +493,19 @@ def test_simulate_single_rep_sizes_are_binary(tmp_path, capsys):
 
 
 def test_simulate_parallel_matches_serial(tmp_path, capsys):
+    # 7 replications do not split evenly over 2 or 3 workers
     base = [
-        "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "6",
-        "--multipliers", "100", "--seed", "11", "--alpha-grid", "0.05,0.1",
+        "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "7",
+        "--multipliers", "100", "--seed", "11", "--alpha-grid", "0.05,0.1,0.3",
     ]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+    outputs = {}
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
+        outputs[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
     capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
+    assert outputs["2"] == outputs["1"]
+    assert outputs["3"] == outputs["1"]
 
 
 def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch):
