@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from multiprocessing import get_context
@@ -43,7 +45,7 @@ from .model import (
     sample,
     setup_params,
 )
-from .tree import LatentTree, TreeError, enumerate_constraints, load_tree
+from .tree import KINDS, LatentTree, TreeError, enumerate_constraints, load_tree
 
 _FLOAT = ".17g"
 
@@ -52,19 +54,22 @@ def _fmt(x) -> str:
     return format(float(x), _FLOAT)
 
 
+@contextmanager
+def _output(path):
+    """``path`` opened for writing text, or stdout when path is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
 def _write_rows(path, header, rows):
     """Write one CSV table to ``path``, or stdout when path is None."""
-
-    def emit(fh):
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
 
 
 def _csv_header(path, reader):
@@ -211,12 +216,27 @@ def _parse_params_file(path):
 
 def cmd_enumerate(args) -> int:
     tree = load_tree(args.tree)
-    terms = enumerate(enumerate_constraints(tree).scalar_rows(), start=1)
-    rows = (
-        (f"c{i:03d}", kind, " ".join(tree.observed[j] for j in indices), poly)
-        for i, (_, kind, indices, poly) in terms
-    )
-    _write_rows(args.out, ("constraint_id", "kind", "indices", "polynomial"), rows)
+    system = enumerate_constraints(tree)
+    # the indices field as csv.writer writes it: quoted, with quotes
+    # doubled, when a name holds a comma, quote or line break.  Object
+    # arrays, because numpy's str arrays drop trailing NULs.
+    names = [v.replace('"', '""') for v in tree.observed]
+    first = np.array(names + [""], dtype=object)
+    rest = np.array([" " + v for v in names] + [""], dtype=object)
+    quote = np.array([any(ch in v for ch in ',"\r\n') for v in tree.observed] + [False])
+    kind_text = np.array(KINDS)
+    with _output(args.out) as fh:
+        fh.write("constraint_id,kind,indices,polynomial\n")
+        count = 0
+        for kinds, variables, _, polynomials in system.listing_blocks():
+            indices = first[variables[:, 0]] + rest[variables[:, 1]]
+            indices += rest[variables[:, 2]] + rest[variables[:, 3]]
+            quoted = quote[variables].any(axis=1)
+            indices[quoted] = '"' + indices[quoted] + '"'
+            ids = ["c%03d" % i for i in range(count + 1, count + len(kinds) + 1)]
+            count += len(kinds)
+            columns = ids, kind_text[kinds].tolist(), indices.tolist(), polynomials.tolist()
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return 0
 
 
@@ -445,6 +465,14 @@ def main(argv=None) -> int:
         parser.error("generate needs exactly one of --setup or --tree")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (``treegof enumerate ... | head``); send
+        # what is still buffered to devnull, so the exit flush does not
+        # fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (TreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -210,19 +210,6 @@ def _classify(tree: LatentTree):
 KINDS = ("chain", "split", "tetrad", "sign", "triangle-bound", "split-bound")
 CHAIN, SPLIT, TETRAD, SIGN, TRIANGLE, SPLIT_BOUND = range(len(KINDS))
 
-# polynomial text of a term from its index row (a, b, c, d), given the
-# s_ij names: tetrad forms s_ab*s_cd - s_ad*s_cb, their squared bounds,
-# and the negated triple product over (a, b, c)
-_POLYNOMIALS = (
-    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[c][b]}*{s[a][d]}",
-    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[a][d]}*{s[c][b]}",
-    lambda s, a, b, c, d: f"{s[a][b]}*{s[c][d]} - {s[a][d]}*{s[c][b]}",
-    lambda s, a, b, c, d: f"-{s[a][b]}*{s[a][c]}*{s[b][c]}",
-    lambda s, a, b, c, d: f"{s[a][b]}^2*{s[c][d]}^2 - {s[c][b]}^2*{s[a][d]}^2",
-    lambda s, a, b, c, d: f"{s[a][b]}^2*{s[c][d]}^2 - {s[a][d]}^2*{s[c][b]}^2",
-)
-
-
 _ROW_BLOCK = 4096
 
 
@@ -233,6 +220,23 @@ def _sym(i: int, j: int) -> str:
     if a < 10 and b < 10:
         return f"s{a}{b}"
     return f"s{a}_{b}"
+
+
+def _polynomials(sym: np.ndarray, kinds: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Polynomial text of each term from its kind and index row
+    (a, b, c, d), given the s_ij names ``sym``: the tetrad form
+    s_ab*s_cd - s_ad*s_cb, its squared bound, and -s_ab*s_ac*s_bc for a
+    sign term.  Chain and triangle-bound rows print s_cb before s_ad.  A
+    sign row's d is -1, and the four-term text built for it is dropped."""
+    add = np.char.add
+    a, b, c, d = index.T
+    power = np.where(kinds >= TRIANGLE, "^2", "")
+    cb_first = (kinds == CHAIN) | (kinds == TRIANGLE)
+    ad, cb = add(sym[a, d], power), add(sym[c, b], power)
+    left = add(add(add(sym[a, b], power), "*"), add(sym[c, d], power))
+    right = add(add(np.where(cb_first, cb, ad), "*"), np.where(cb_first, ad, cb))
+    sign = add(add(add("-", sym[a, b]), "*"), add(add(sym[a, c], "*"), sym[b, c]))
+    return np.where(kinds == SIGN, sign, add(add(left, " - "), right))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +301,11 @@ class ConstraintSystem:
         out[~sign] = cov[a, b] ** 2 * cov[c, d] ** 2 - cov[a, d] ** 2 * cov[c, b] ** 2
         return out
 
-    def scalar_rows(self):
-        """(side, kind, indices, polynomial) per scalar term, for listings;
-        ``indices`` are the term's sorted variables."""
-        sym = [[_sym(i, j) for j in range(self.m)] for i in range(self.m)]
-        # in blocks, so that no Python list spans the whole system
+    def listing_blocks(self):
+        """The listing, ``_ROW_BLOCK`` terms at a time: per block the kind
+        codes, the sorted variables as rows of four padded with ``m``,
+        the number of variables per row and the polynomial texts."""
+        sym = np.array([[_sym(i, j) for j in range(self.m)] for i in range(self.m)])
         for start in range(0, len(self.kinds), _ROW_BLOCK):
             kinds = self.kinds[start : start + _ROW_BLOCK]
             index = self.index[start : start + _ROW_BLOCK]
@@ -311,12 +315,17 @@ class ConstraintSystem:
             spare = np.c_[variables[:, :1] < 0, variables[:, 1:] == variables[:, :-1]]
             variables[spare] = self.m
             variables.sort(axis=1)
-            width = 4 - spare.sum(axis=1)
-            for kind, row, var, w in zip(
-                kinds.tolist(), index.tolist(), variables.tolist(), width.tolist()
+            yield kinds, variables, 4 - spare.sum(axis=1), _polynomials(sym, kinds, index)
+
+    def scalar_rows(self):
+        """(side, kind, indices, polynomial) per scalar term, for listings;
+        ``indices`` are the term's sorted variables."""
+        for kinds, variables, width, polynomials in self.listing_blocks():
+            for kind, var, w, poly in zip(
+                kinds.tolist(), variables.tolist(), width.tolist(), polynomials.tolist()
             ):
                 side = "equality" if kind < SIGN else "inequality"
-                yield (side, KINDS[kind], tuple(var[:w]), _POLYNOMIALS[kind](sym, *row))
+                yield (side, KINDS[kind], tuple(var[:w]), poly)
 
 
 def enumerate_constraints(tree: LatentTree) -> ConstraintSystem:

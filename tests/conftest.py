@@ -20,6 +20,10 @@ lands in the requested range.
 
 reference_classes classifies observed triples and quadruples by walking
 paths, independently of the package's distance-based classification.
+
+reference_listing gives the (kind, indices, polynomial) rows of a
+constraint system one term at a time, from the per-row polynomial
+formulas, independently of the package's block formatter.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from treegof.tree import LatentTree
+from treegof.tree import KINDS, LatentTree
 
 
 def star_tree(m: int) -> LatentTree:
@@ -139,3 +143,32 @@ def reference_classes(tree: LatentTree):
         assert len(disjoint) in (1, 3)
         quads[p, q, r, s] = disjoint[0] if len(disjoint) == 1 else None
     return chains, quads
+
+
+def _s(i: int, j: int) -> str:
+    a, b = sorted((i + 1, j + 1))
+    return f"s{a}{b}" if b < 10 else f"s{a}_{b}"
+
+
+# polynomial text of a term from its index row (a, b, c, d): the tetrad
+# form, its squared bound and the negated triple product over (a, b, c)
+REFERENCE_POLYNOMIALS = {
+    "chain": lambda a, b, c, d: f"{_s(a, b)}*{_s(c, d)} - {_s(c, b)}*{_s(a, d)}",
+    "split": lambda a, b, c, d: f"{_s(a, b)}*{_s(c, d)} - {_s(a, d)}*{_s(c, b)}",
+    "tetrad": lambda a, b, c, d: f"{_s(a, b)}*{_s(c, d)} - {_s(a, d)}*{_s(c, b)}",
+    "sign": lambda a, b, c, d: f"-{_s(a, b)}*{_s(a, c)}*{_s(b, c)}",
+    "triangle-bound": lambda a, b, c, d: (
+        f"{_s(a, b)}^2*{_s(c, d)}^2 - {_s(c, b)}^2*{_s(a, d)}^2"
+    ),
+    "split-bound": lambda a, b, c, d: (
+        f"{_s(a, b)}^2*{_s(c, d)}^2 - {_s(a, d)}^2*{_s(c, b)}^2"
+    ),
+}
+
+
+def reference_listing(system):
+    """(kind, sorted variables, polynomial) per term, row by row."""
+    for code, row in zip(system.kinds.tolist(), system.index.tolist()):
+        kind = KINDS[code]
+        variables = tuple(sorted({v for v in row if v >= 0}))
+        yield kind, variables, REFERENCE_POLYNOMIALS[kind](*row)

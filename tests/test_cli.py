@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface.
 
-Commands run in-process through ``main(argv)``; one test goes through a
+Commands run in-process through ``main(argv)``; a few tests go through a
 real subprocess to cover the module entry point.  File outputs land in
 pytest temp dirs and determinism is checked byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -19,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_latent_tree, reference_listing
 import treegof
 import treegof.cli as climod
+import treegof.tree
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
 from treegof.model import sample
-from treegof.tree import load_tree
+from treegof.tree import LatentTree, enumerate_constraints, load_tree
 
 
 def star_file(tmp_path, m, name="star.tree"):
@@ -97,6 +101,68 @@ def test_enumerate_counts_star8(tmp_path, capsys):
     capsys.readouterr()
     _, rows = read_csv(out)
     assert sum(1 for r in rows if r[1] == "tetrad") == 140
+
+
+def _reference_enumerate(tree):
+    """The enumerate CSV as csv.writer writes the per-row listing."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("constraint_id", "kind", "indices", "polynomial"))
+    rows = reference_listing(enumerate_constraints(tree))
+    for i, (kind, variables, poly) in enumerate(rows, start=1):
+        names = " ".join(tree.observed[v] for v in variables)
+        writer.writerow((f"c{i:03d}", kind, names, poly))
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.lists(
+        st.text(alphabet='x,"é\x00', min_size=1, max_size=3),
+        min_size=12, max_size=12, unique=True,
+    ),
+)
+def test_enumerate_matches_csv_writer_listing(tmp_path_factory, seed, block, ids):
+    # ids with commas, quotes, non-ASCII letters and trailing NULs, over
+    # blocks of a few rows
+    tree = random_latent_tree(np.random.default_rng(seed), m_lo=3, m_hi=9, n_hi=12)
+    rename = dict(zip(tree.observed, ids))
+    tree = LatentTree(
+        [(rename.get(a, a), rename.get(b, b)) for a, b in tree.edges],
+        [rename[v] for v in tree.observed],
+    )
+    path = tmp_path_factory.mktemp("enum") / "odd.tree"
+    path.write_text(
+        "".join(f"EDGE {a} {b}\n" for a, b in tree.edges)
+        + "".join(f"OBS {v}\n" for v in tree.observed),
+        encoding="utf-8",
+    )
+    out = path.with_suffix(".csv")
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(treegof.tree, "_ROW_BLOCK", block)
+        assert main(["enumerate", "--tree", str(path), "--out", str(out)]) == 0
+        assert main(["enumerate", "--tree", str(path)]) == 0
+    expected = _reference_enumerate(tree)
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert stdout.getvalue() == expected
+
+
+def test_enumerate_quiet_on_closed_pipe(tmp_path):
+    tree = star_file(tmp_path, 20)
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treegof.cli", "enumerate", "--tree", str(tree)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"constraint_id,kind,indices,polynomial\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # ---------------------------------------------------------------------------

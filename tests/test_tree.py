@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     observed_chain,
     random_latent_tree,
     reference_classes,
+    reference_listing,
     star_tree,
 )
 from treegof.tree import (
@@ -366,6 +368,22 @@ def test_polynomial_strings():
     assert _polynomials(observed_chain(4), "split-bound") == [
         "s13^2*s24^2 - s12^2*s34^2"
     ]
+
+
+def test_polynomials_match_per_row_reference():
+    rng = np.random.default_rng(20)
+    corpus = [star_tree(11), observed_chain(11)]
+    corpus += [random_latent_tree(rng, m_lo=3, m_hi=12, n_hi=16) for _ in range(30)]
+    kinds, symbols = set(), set()
+    for tree in corpus:
+        system = enumerate_constraints(tree)
+        rows = [(kind, indices, poly) for _, kind, indices, poly in system.scalar_rows()]
+        assert rows == list(reference_listing(system))
+        kinds.update(kind for kind, _, _ in rows)
+        symbols.update(re.findall(r"s\d+(_)?\d+", " ".join(poly for _, _, poly in rows)))
+    assert kinds == set(KINDS)
+    # both symbol forms: s12 below index 10, s3_12 from there on
+    assert symbols == {"", "_"}
 
 
 def test_scalar_rows_cover_both_sides():
