@@ -22,12 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimators import (
-    EstimateSequence,
-    _data_array,
-    column_source,
-    plugin_tetrads,
-)
+from .estimators import EstimateSequence, _data_array, column_source
 from .tree import ConstraintSystem
 
 __all__ = [
@@ -197,8 +192,6 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     instead, and a lone column pairwise, which would tie the low bits
     to the chunk width.
     """
-    if not np.all(np.isfinite(values)):
-        raise ValueError("estimate values contain non-finite entries")
     values = np.asfortranarray(values)
     ybar = values.mean(axis=0)
     batches = (values[: omega * batch_size] - ybar).reshape(omega, batch_size, -1)
@@ -509,8 +502,8 @@ def hotelling_statistic(
     Returns the statistic, the column count as nominal degrees of
     freedom, and the numerical rank actually used.
     """
-    x = _data_array(data)
     m = constraints.m
+    x = _data_array(data, m)
     if m > 8:
         raise ValueError("quadratic-form statistic is limited to m <= 8")
     n = x.shape[0]
@@ -519,8 +512,12 @@ def hotelling_statistic(
         raise ValueError("constraint system has no equality columns")
     if n <= k_cols:
         raise ValueError(f"need n > {k_cols} rows for {k_cols} columns, got {n}")
-    tau = plugin_tetrads(x, constraints)
+    # a power-of-two scale to a largest entry in [0.5, 1) rounds nothing
+    # and keeps v_hat, of degree 8 in the data, from overflowing or
+    # underflowing; the statistic and rank do not depend on it
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     s = x.T @ x / n
+    tau = constraints.equality_residuals(s)
 
     pa, pb = np.triu_indices(m)
     pair_id = np.empty((m, m), dtype=np.intp)

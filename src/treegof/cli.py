@@ -38,7 +38,6 @@ from .bootstrap import (
 )
 from .metric import is_t_induced
 from .model import (
-    SampleMatrix,
     TreeModelParams,
     covariance_from_factor,
     covariance_from_tree,
@@ -259,8 +258,7 @@ def cmd_test(args) -> int:
     order = _observed_order(names, tree)
     if order is not None:
         values = values[:, order]
-    data = SampleMatrix(values, tuple(tree.observed))
-    result = run_test(data, system, _bootstrap_config(args))
+    result = run_test(values, system, _bootstrap_config(args))
     report = {
         "statistic": result.statistic,
         "quantile": result.quantile,
@@ -299,6 +297,8 @@ def _simulate_rep(cov, system, n, config, entropy, rep):
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     alphas = _parse_alpha_grid(args.alpha_grid)
     system = enumerate_constraints(_star_tree(args.m))
     params = setup_params(

@@ -24,13 +24,20 @@ __all__ = [
 ]
 
 
-def _data_array(data) -> np.ndarray:
+def _data_array(data, m: int) -> np.ndarray:
+    """``data`` (an array or a ``SampleMatrix``) as an n x m float array
+    of finite entries: the one check of every entry point that takes
+    data."""
     if isinstance(data, SampleMatrix):
-        return data.data
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
+        data = data.data
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
         raise ValueError("data must be a two-dimensional array")
-    return arr
+    if x.shape[1] != m:
+        raise ValueError(f"data has {x.shape[1]} columns but constraints expect {m}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data contains non-finite entries")
+    return x
 
 
 def _difference_columns(x: np.ndarray, quads: np.ndarray) -> np.ndarray:
@@ -135,12 +142,8 @@ def column_source(
 
     A subsample is drawn before any column is built.
     """
-    x = _data_array(data)
-    n, m = x.shape
-    if m != constraints.m:
-        raise ValueError(
-            f"data has {m} columns but constraints expect {constraints.m}"
-        )
+    x = _data_array(data, constraints.m)
+    n = x.shape[0]
     # The builders gather whole variables, so the working copy is
     # column-major; the products are elementwise and round the same in
     # any layout.  The mean is summed over C-ordered rows whatever the
@@ -211,14 +214,8 @@ def build_estimate_matrix(
 def plugin_tetrads(data, constraints: ConstraintSystem) -> np.ndarray:
     """Equality polynomials evaluated at the raw second-moment matrix
     S = X'X / n, in canonical order."""
-    x = _data_array(data)
+    x = _data_array(data, constraints.m)
     n = x.shape[0]
     if n < 1:
         raise ValueError("plug-in estimation needs at least 1 row")
-    if x.shape[1] != constraints.m:
-        raise ValueError(
-            f"data has {x.shape[1]} columns but constraints expect {constraints.m}"
-        )
-    s = x.T @ x / n
-    a, b, c, d = constraints.equality_column_pairs().T
-    return s[a, b] * s[c, d] - s[a, d] * s[c, b]
+    return constraints.equality_residuals(x.T @ x / n)

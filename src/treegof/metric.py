@@ -39,6 +39,7 @@ __all__ = [
     "correlation_metric",
 ]
 
+# residuals above this are reported as violations
 DEFAULT_TOL = 1e-9
 
 
@@ -99,7 +100,7 @@ def _as_delta(delta, m: int) -> np.ndarray:
     return delta
 
 
-def check_pseudo_metric(delta, tol: float = DEFAULT_TOL) -> list:
+def check_pseudo_metric(delta) -> list:
     """Violations of symmetry, zero diagonal, nonnegativity, finiteness,
     and the triangle inequality."""
     delta = np.asarray(delta, dtype=float)
@@ -108,13 +109,13 @@ def check_pseudo_metric(delta, tol: float = DEFAULT_TOL) -> list:
     m = delta.shape[0]
     out = []
     for i in range(m):
-        if abs(delta[i, i]) > tol:
+        if abs(delta[i, i]) > DEFAULT_TOL:
             out.append(Violation("diagonal", (i,), float(abs(delta[i, i]))))
     for i, j in itertools.combinations(range(m), 2):
         gap = abs(delta[i, j] - delta[j, i])
-        if gap > tol or math.isnan(gap):
+        if gap > DEFAULT_TOL or math.isnan(gap):
             out.append(Violation("symmetry", (i, j), float(gap)))
-        if delta[i, j] < -tol:
+        if delta[i, j] < -DEFAULT_TOL:
             out.append(Violation("negative", (i, j), float(-delta[i, j])))
         if not np.isfinite(delta[i, j]):
             out.append(Violation("non-finite", (i, j), math.inf))
@@ -123,15 +124,15 @@ def check_pseudo_metric(delta, tol: float = DEFAULT_TOL) -> list:
             if k == i or k == j:
                 continue
             slack = delta[i, j] - delta[i, k] - delta[k, j]
-            if slack > tol:
+            if slack > DEFAULT_TOL:
                 out.append(Violation("triangle", (i, k, j), float(slack)))
     return out
 
 
-def _flagged(kinds, rows, residuals, tol) -> list:
-    """Violations for the residuals above ``tol`` or NaN, row by row and
-    within a row in ``kinds`` order."""
-    i, j = np.nonzero((residuals > tol) | np.isnan(residuals))
+def _flagged(kinds, rows, residuals) -> list:
+    """Violations for the residuals above ``DEFAULT_TOL`` or NaN, row by
+    row and within a row in ``kinds`` order."""
+    i, j = np.nonzero((residuals > DEFAULT_TOL) | np.isnan(residuals))
     return [
         Violation(kinds[kind], tuple(row), value)
         for kind, row, value in zip(
@@ -140,7 +141,7 @@ def _flagged(kinds, rows, residuals, tol) -> list:
     ]
 
 
-def check_three_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
+def check_three_point(delta, tree: LatentTree) -> list:
     """Additivity violations along every observed chain of the tree.
 
     For each triple classified as a chain with middle q the residual is
@@ -150,10 +151,10 @@ def check_three_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list
     chains = _classify(tree)[0]
     a, mid, b = chains.T
     res = np.abs(delta[a, mid] + delta[mid, b] - delta[a, b])
-    return _flagged(("three-point",), chains, res[:, None], tol)
+    return _flagged(("three-point",), chains, res[:, None])
 
 
-def check_four_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
+def check_four_point(delta, tree: LatentTree) -> list:
     """Four-point violations over every quadruple of the tree.
 
     For each pairing {a,b} | {c,d} whose two paths share no edge, the sum
@@ -172,10 +173,10 @@ def check_four_point(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> list:
     lower = np.where(second < first, second, first)
     res = np.stack([np.abs(first - second), own - lower], axis=1)
     blocks = quads[row[:, None], _PAIRINGS[k]]
-    return _flagged(("four-point-eq", "four-point-ineq"), blocks, res, tol)
+    return _flagged(("four-point-eq", "four-point-ineq"), blocks, res)
 
 
-def is_t_induced(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> MetricReport:
+def is_t_induced(delta, tree: LatentTree) -> MetricReport:
     """Full realizability check of a matrix as a path-length metric on
     the given tree.
 
@@ -184,9 +185,9 @@ def is_t_induced(delta, tree: LatentTree, tol: float = DEFAULT_TOL) -> MetricRep
     only when every list is empty.
     """
     delta = _as_delta(delta, tree.m)
-    metric = tuple(check_pseudo_metric(delta, tol))
-    three = tuple(check_three_point(delta, tree, tol))
-    four = tuple(check_four_point(delta, tree, tol))
+    metric = tuple(check_pseudo_metric(delta))
+    three = tuple(check_three_point(delta, tree))
+    four = tuple(check_four_point(delta, tree))
     return MetricReport(
         is_induced=not (metric or three or four),
         is_pseudo_metric=not metric,

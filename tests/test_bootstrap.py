@@ -12,13 +12,17 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 import treegof.bootstrap as btmod
-from conftest import star_tree
+from conftest import random_latent_tree, star_tree
 from treegof.bootstrap import (
     BootstrapConfig,
     HotellingResult,
@@ -281,6 +285,25 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
         sys.setswitchinterval(interval)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["equalities", "all"]))
+def test_results_invariant_to_sign_flips(seed, mode):
+    # negation is exact, and every estimate column is odd or even in
+    # each variable: a flip negates some equality columns, whose
+    # statistic and draws take absolute values, and leaves every sign
+    # column as it is.  So the whole result is unchanged, bit for bit.
+    rng = np.random.default_rng(seed)
+    system = enumerate_constraints(random_latent_tree(rng, m_lo=4, m_hi=7))
+    n = int(rng.integers(30, 120))
+    x = rng.standard_normal((n, system.m)) * rng.uniform(0.1, 10.0, system.m)
+    x += rng.normal(0.0, 3.0, system.m)
+    flips = rng.choice([-1.0, 1.0], system.m)
+    config = BootstrapConfig(num_multipliers=200, seed=seed, mode=mode)
+    for jobs in (1, 2):
+        with mock.patch.object(btmod, "_usable_cores", lambda: jobs):
+            assert run_test(x * flips, system, config) == run_test(x, system, config)
+
+
 def test_coordinates_have_unit_conditional_variance():
     tree = star_tree(4)
     system = enumerate_constraints(tree)
@@ -509,12 +532,19 @@ def _raises_unchanged(monkeypatch, data, system, config, match):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_test_overflowing_data_fails_loudly(monkeypatch):
     # squared batch sums of data scaled by 1e40 overflow; the test must
     # not report statistic 0 and p = 1.  One column per chunk, so the
     # error comes from many chunks in flight.
     data, system, config = _null_case(6, 300, 0)
     _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
+    # data scaled by 1e80 overflow in the estimate columns themselves;
+    # their non-finite means must reach the same check
+    for mode in ("equalities", "all"):
+        _raises_unchanged(
+            monkeypatch, data.data * 1e80, system, replace(config, mode=mode), "overflow"
+        )
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
     _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
 
@@ -602,3 +632,23 @@ def test_hotelling_input_errors():
     data3 = sample(np.eye(3), 50, seed=0)
     with pytest.raises(ValueError, match="no equality columns"):
         hotelling_statistic(data3, triangle)
+    with pytest.raises(ValueError, match="expect 4"):
+        hotelling_statistic(data3.data, system4)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = sample(np.eye(4), 50, seed=0).data
+        x[7, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hotelling_statistic(x, system4)
+
+
+def test_hotelling_invariant_to_common_scale():
+    # unscaled, the plug-in covariance (degree 8 in the data) overflows
+    # at 1e40 and underflows at 1e-80
+    system = enumerate_constraints(star_tree(6))
+    x = sample(covariance_from_factor(setup_params(1, 6, seed=0)), 300, seed=0).data
+    base = hotelling_statistic(x, system)
+    assert base.rank == 9 and base.statistic > 1
+    for scale in (1e-150, 1e-80, 1e40, 1e150):
+        got = hotelling_statistic(x * scale, system)
+        assert (got.dof, got.rank) == (base.dof, base.rank), scale
+        assert got.statistic == pytest.approx(base.statistic, rel=1e-12), scale

@@ -605,16 +605,17 @@ def test_simulate_bad_alpha_grid(tmp_path, capsys):
 
 
 def test_simulate_rejects_nonpositive_reps(tmp_path, capsys):
-    for reps in ("0", "-3"):
+    # --jobs below 1 is refused like --reps, before any file is written
+    for flag, value in (("--reps", "0"), ("--reps", "-3"), ("--jobs", "0"), ("--jobs", "-3")):
         out = tmp_path / "sizes.csv"
+        counts = {"--reps": "2", "--jobs": "1", flag: value}
         rc = main([
-            "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", reps,
-            "--out", str(out),
+            "simulate", "--setup", "1", "--m", "4", "--n", "40",
+            "--reps", counts["--reps"], "--jobs", counts["--jobs"], "--out", str(out),
         ])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "--reps" in captured.err
-        assert "Warning" not in captured.err
+        assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
         assert not out.exists()
         assert not (tmp_path / "sizes.svg").exists()
 
