@@ -28,11 +28,7 @@ from .estimators import (
 from .metric import (
     MetricReport,
     Violation,
-    check_four_point,
-    check_pseudo_metric,
-    check_three_point,
     correlation_metric,
-    enumerate_splits,
     induced_metric,
     is_t_induced,
 )
@@ -72,14 +68,10 @@ __all__ = [
     "batched_diag",
     "bootstrap_coordinates",
     "build_estimate_matrix",
-    "check_four_point",
-    "check_pseudo_metric",
-    "check_three_point",
     "correlation_metric",
     "covariance_from_factor",
     "covariance_from_tree",
     "enumerate_constraints",
-    "enumerate_splits",
     "hotelling_statistic",
     "induced_metric",
     "is_t_induced",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -47,6 +48,8 @@ from .model import (
 from .tree import KINDS, LatentTree, TreeError, enumerate_constraints, load_tree
 
 _FLOAT = ".17g"
+# a start:stop:step alpha grid with more levels is refused as malformed
+_MAX_ALPHA_LEVELS = 10_000
 
 
 def _fmt(x) -> str:
@@ -163,16 +166,19 @@ def _parse_alpha_grid(spec: str):
         if len(parts) != 3:
             raise ValueError(f"alpha grid {spec!r} is not start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"alpha grid {spec!r} needs finite start, stop and step")
         if step <= 0:
             raise ValueError("alpha grid step must be positive")
-        grid = []
-        k = 0
-        while True:
-            value = round(start + k * step, 10)
-            if value > stop + step * 1e-9:
-                break
-            grid.append(value)
-            k += 1
+        last = (stop - start) / step
+        if last >= _MAX_ALPHA_LEVELS:
+            raise ValueError(
+                f"alpha grid {spec!r} has more than {_MAX_ALPHA_LEVELS} levels"
+            )
+        # one candidate past ``last`` covers the slack at stop; levels rise
+        # with k, so the kept ones are a prefix
+        levels = (round(start + k * step, 10) for k in range(math.floor(last) + 2))
+        grid = [a for a in levels if a <= stop + step * 1e-9]
     else:
         grid = [round(float(p), 10) for p in spec.split(",") if p.strip()]
     if not grid:
@@ -187,7 +193,8 @@ def _parse_params_file(path):
     """Read edge correlations and node scales.
 
     Lines are ``CORR <id> <id> <rho>`` or ``SD <id> <value>``; ``#``
-    comments and blank lines are skipped.
+    comments and blank lines are skipped.  An edge (in either
+    orientation) or a node may appear once.
     """
     edge_corr = {}
     node_sd = {}
@@ -199,8 +206,13 @@ def _parse_params_file(path):
             fields = line.split()
             try:
                 if fields[0] == "CORR" and len(fields) == 4:
-                    edge_corr[(fields[1], fields[2])] = float(fields[3])
+                    a, b = fields[1], fields[2]
+                    if (a, b) in edge_corr or (b, a) in edge_corr:
+                        raise ValueError(f"duplicate CORR edge {a!r} {b!r}")
+                    edge_corr[(a, b)] = float(fields[3])
                 elif fields[0] == "SD" and len(fields) == 3:
+                    if fields[1] in node_sd:
+                        raise ValueError(f"duplicate SD node {fields[1]!r}")
                     node_sd[fields[1]] = float(fields[2])
                 else:
                     raise ValueError("expected 'CORR a b rho' or 'SD v s'")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import LatentTree, _norm_edge, _path_fold
+from .tree import LatentTree, _edge_map, _path_fold
 
 __all__ = [
     "TreeModelParams",
@@ -49,13 +49,8 @@ class TreeModelParams:
     node_sd: Optional[dict] = None
 
     def __post_init__(self):
-        corr = {}
-        for (a, b), rho in self.edge_corr.items():
-            corr[_norm_edge(a, b)] = float(rho)
-        for e in self.tree.edges:
-            if e not in corr:
-                raise ValueError(f"missing correlation for edge {e!r}")
-            rho = corr[e]
+        corr = _edge_map(self.tree, self.edge_corr, "correlation")
+        for e, rho in corr.items():
             if not 0.0 < abs(rho) < 1.0:
                 raise ValueError(
                     f"edge correlation {rho!r} on {e!r} not in (-1,1) minus zero"
@@ -63,6 +58,9 @@ class TreeModelParams:
         object.__setattr__(self, "edge_corr", corr)
         if self.node_sd is not None:
             sds = {v: float(s) for v, s in self.node_sd.items()}
+            for v in sds:
+                if v not in self.tree.observed:
+                    raise ValueError(f"standard deviation for unobserved node {v!r}")
             for v in self.tree.observed:
                 if v not in sds:
                     raise ValueError(f"missing standard deviation for node {v!r}")

@@ -118,6 +118,28 @@ class LatentTree:
         return self._adj[v]
 
 
+def _edge_map(tree: LatentTree, values, what: str) -> dict:
+    """A user's edge -> value mapping keyed by normalized edge, as floats.
+
+    Raises ValueError for a key that is not an edge of ``tree``, an edge
+    given in both orientations, or an edge with no value ("missing
+    {what} for edge ...").
+    """
+    edges = set(tree.edges)
+    out = {}
+    for (a, b), value in values.items():
+        e = _norm_edge(a, b)
+        if e not in edges:
+            raise ValueError(f"({a!r}, {b!r}) is not an edge of the tree")
+        if e in out:
+            raise ValueError(f"edge ({a!r}, {b!r}) is given in both orientations")
+        out[e] = float(value)
+    missing = [e for e in tree.edges if e not in out]
+    if missing:
+        raise ValueError(f"missing {what} for edge {missing[0]!r}")
+    return out
+
+
 def _path_fold(tree: LatentTree, edge_values, op, unit) -> np.ndarray:
     """Fold per-edge values along every observed-to-observed path.
 

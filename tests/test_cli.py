@@ -269,6 +269,40 @@ def test_generate_params_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+STAR3_CORR = "CORR h x1 0.5\nCORR h x2 0.6\nCORR h x3 0.7\n"
+STAR3_SD = "SD x1 1\nSD x2 1\nSD x3 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a pair that is not an edge of the star
+        (STAR3_CORR + "CORR x1 x2 0.9\n", "('x1', 'x2') is not an edge of the tree"),
+        # the same edge twice, the second time reversed
+        ("CORR h x1 0.5\nCORR x1 h 0.7\nCORR h x2 0.6\nCORR h x3 0.7\n",
+         "line 2: duplicate CORR edge 'x1' 'h'"),
+        (STAR3_CORR + "SD x1 1\nSD x1 2\n", "line 5: duplicate SD node 'x1'"),
+        # a node the tree does not observe
+        (STAR3_CORR + STAR3_SD + "SD zz 4\n", "standard deviation for unobserved node 'zz'"),
+    ],
+)
+def test_generate_params_refuses_bad_entries(tmp_path, capsys, text, message):
+    tree = star_file(tmp_path, 3)
+    params = tmp_path / "params.txt"
+    params.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    rc = main([
+        "generate", "--tree", str(tree), "--params", str(params),
+        "--n", "5", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if "line" in message:
+        assert err.startswith(f"error: {params} line ")
+    assert not out.exists()
+
+
 def test_generate_needs_exactly_one_source(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["generate", "--n", "5"])
@@ -628,6 +662,13 @@ def test_parse_alpha_grid_forms():
         _parse_alpha_grid("0.0,0.5")
     with pytest.raises(ValueError, match="step"):
         _parse_alpha_grid("0.1:0.5:0")
+    # each of these used to loop until memory ran out
+    for spec in ("0.01:0.1:inf", "0.01:0.1:nan", "nan:0.1:0.01", "0.01:inf:0.01"):
+        with pytest.raises(ValueError, match=f"alpha grid '{spec}' needs finite"):
+            _parse_alpha_grid(spec)
+    with pytest.raises(ValueError, match="alpha grid '0.01:0.1:1e-300' has more than"):
+        _parse_alpha_grid("0.01:0.1:1e-300")
+    assert len(_parse_alpha_grid("0.00005:0.99995:0.0001")) == 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Path-length metrics, realizability checks, and split enumeration."""
+"""Path-length metrics and the tree-metric realizability oracle."""
 
 from __future__ import annotations
 
@@ -17,15 +17,8 @@ from conftest import (
     reference_classes,
     star_tree,
 )
-from treegof.metric import (
-    check_four_point,
-    check_pseudo_metric,
-    check_three_point,
-    correlation_metric,
-    enumerate_splits,
-    induced_metric,
-    is_t_induced,
-)
+import treegof.metric
+from treegof.metric import correlation_metric, induced_metric, is_t_induced
 from treegof.tree import SPLIT, enumerate_constraints
 
 
@@ -66,16 +59,20 @@ def test_induced_metric_rejects_bad_weights():
     w[("h", "x1")] = -0.5
     with pytest.raises(ValueError, match="negative weight"):
         induced_metric(t, w)
+    with pytest.raises(ValueError, match="not an edge"):
+        induced_metric(t, {**unit_weights(t), ("x1", "x2"): 5.0})
+    with pytest.raises(ValueError, match="both orientations"):
+        induced_metric(t, {**unit_weights(t), ("x1", "h"): 3.0})
 
 
 def test_pseudo_metric_axioms_flagged():
     bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.1, 1.0], [5.0, 1.0, 0.0]])
-    kinds = {v.kind for v in check_pseudo_metric(bad)}
+    kinds = {v.kind for v in is_t_induced(bad, star_tree(3)).metric_violations}
     # d(0,2)=5 > d(0,1)+d(1,2)=2 and the middle diagonal entry is off
     assert kinds == {"diagonal", "triangle"}
 
     asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    kinds = {v.kind for v in check_pseudo_metric(asym)}
+    kinds = {v.kind for v in is_t_induced(asym, observed_chain(2)).metric_violations}
     assert "symmetry" in kinds
 
 
@@ -83,7 +80,7 @@ def test_four_point_clean_on_induced():
     rng = np.random.default_rng(3)
     for tree in (star_tree(4), caterpillar(), observed_chain(5), star_tree(6)):
         delta = induced_metric(tree, random_weights(tree, rng))
-        assert check_four_point(delta, tree) == []
+        assert is_t_induced(delta, tree).four_point_violations == ()
 
 
 def test_four_point_flags_inflated_entry():
@@ -91,7 +88,7 @@ def test_four_point_flags_inflated_entry():
     delta = induced_metric(t, unit_weights(t))
     delta[0, 1] += 1.0
     delta[1, 0] += 1.0
-    violations = check_four_point(delta, t)
+    violations = is_t_induced(delta, t).four_point_violations
     counts = Counter(v.kind for v in violations)
     assert counts == {"four-point-eq": 2, "four-point-ineq": 1}
     assert all(v.residual == pytest.approx(1.0) for v in violations)
@@ -99,16 +96,16 @@ def test_four_point_flags_inflated_entry():
 
 def test_four_point_zero_matrix_clean():
     t = star_tree(4)
-    assert check_four_point(np.zeros((4, 4)), t) == []
+    assert is_t_induced(np.zeros((4, 4)), t).four_point_violations == ()
 
 
 def test_three_point_chain():
     t = observed_chain(3)
     delta = induced_metric(t, {("1", "2"): 1.0, ("2", "3"): 2.0})
-    assert check_three_point(delta, t) == []
+    assert is_t_induced(delta, t).three_point_violations == ()
     delta[0, 2] += 0.5
     delta[2, 0] += 0.5
-    violations = check_three_point(delta, t)
+    violations = is_t_induced(delta, t).three_point_violations
     assert len(violations) == 1
     assert violations[0].kind == "three-point"
     assert violations[0].indices == (0, 1, 2)
@@ -121,7 +118,7 @@ def test_three_point_vacuous_on_star():
     arbitrary = rng.uniform(0.5, 3.0, size=(5, 5))
     arbitrary = (arbitrary + arbitrary.T) / 2
     np.fill_diagonal(arbitrary, 0.0)
-    assert check_three_point(arbitrary, t) == []
+    assert is_t_induced(arbitrary, t).three_point_violations == ()
 
 
 def test_round_trip_induced_metrics_recognized():
@@ -188,24 +185,6 @@ def test_within_block_perturbation_stays_realizable():
     assert is_t_induced(bumped, t).is_induced
 
 
-def test_enumerate_splits_star():
-    splits = enumerate_splits(star_tree(3))
-    assert splits == frozenset(
-        {((0,), (1, 2)), ((0, 2), (1,)), ((0, 1), (2,))}
-    )
-
-
-def test_enumerate_splits_chain():
-    splits = enumerate_splits(observed_chain(3))
-    assert splits == frozenset({((0,), (1, 2)), ((0, 1), (2,))})
-
-
-def test_enumerate_splits_caterpillar_central_edge():
-    splits = enumerate_splits(caterpillar())
-    assert ((0, 2), (1, 3)) in splits
-    assert len(splits) == 5
-
-
 def _reference_point_violations(delta, tree, tol=1e-9):
     """The three- and four-point checks as loops over the path-rule
     classes, as (kind, indices, residual text) in report order."""
@@ -240,31 +219,32 @@ def test_point_checks_match_reference_loops():
         off_model = rng.uniform(0.0, 2.0, size=(tree.m, tree.m))
         off_model[0, -1] = np.nan
         for delta in (on_model, off_model + off_model.T):
+            report = is_t_induced(delta, tree)
             got = [
                 (v.kind, v.indices, repr(v.residual))
-                for v in check_three_point(delta, tree) + check_four_point(delta, tree)
+                for v in report.three_point_violations + report.four_point_violations
             ]
             assert got == _reference_point_violations(delta, tree)
 
 
-def test_singleton_split_matches_distance_condition():
-    # a variable separates from the rest by one edge cut exactly when it
-    # is never interior: delta_pq + delta_pr - delta_qr > 0 for all q, r
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        tree = random_latent_tree(rng, m_lo=4, m_hi=6)
-        delta = induced_metric(tree, random_weights(tree, rng, lo=0.2, hi=1.5))
-        splits = enumerate_splits(tree)
-        for p in range(tree.m):
-            rest = tuple(i for i in range(tree.m) if i != p)
-            # margin separates true gaps (>= 2 * min weight) from the
-            # exact zeros of interior nodes, which roundoff can tip
-            condition = all(
-                delta[p, q] + delta[p, r] - delta[q, r] > 1e-9
-                for q, r in itertools.combinations(rest, 2)
-            )
-            has_split = ((p,), rest) in splits or (rest, (p,)) in splits
-            assert has_split == condition, (tree.edges, p)
+def test_is_t_induced_classifies_once(monkeypatch):
+    calls = []
+    classify = treegof.metric._classify
+
+    def counting(tree):
+        calls.append(tree)
+        return classify(tree)
+
+    monkeypatch.setattr(treegof.metric, "_classify", counting)
+    t = caterpillar()
+    delta = induced_metric(t, unit_weights(t))
+    assert is_t_induced(delta, t).is_induced
+    assert calls == [t]
+
+
+def test_shape_mismatch_refused():
+    with pytest.raises(ValueError, match="does not match m=4"):
+        is_t_induced(np.zeros((3, 3)), star_tree(4))
 
 
 def test_pair_split_matches_four_point_strictness():

@@ -67,6 +67,16 @@ def test_tree_params_validation():
             {("1", "2"): 0.5, ("2", "3"): 0.5},
             {"1": 1.0, "2": 0.0, "3": 1.0},
         )
+    with pytest.raises(ValueError, match="not an edge"):
+        TreeModelParams(t, {("1", "2"): 0.5, ("2", "3"): 0.5, ("1", "3"): 0.5})
+    with pytest.raises(ValueError, match="both orientations"):
+        TreeModelParams(t, {("1", "2"): 0.5, ("2", "3"): 0.5, ("2", "1"): 0.7})
+    with pytest.raises(ValueError, match="unobserved node 'h'"):
+        TreeModelParams(
+            t,
+            {("1", "2"): 0.5, ("2", "3"): 0.5},
+            {"1": 1.0, "2": 1.0, "3": 1.0, "h": 4.0},
+        )
 
 
 def test_factor_covariance():

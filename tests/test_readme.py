@@ -1,18 +1,30 @@
-"""The README's Python quick start runs as written.
+"""The README's Python quick start runs as written, and the public API
+is no larger than its users.
 
 The snippet is read from README.md and executed against a ``data.csv``
 made by ``treegof generate``, so the documented API cannot be removed
-without this test failing.
+without this test failing.  Every function exported by ``treegof`` must
+be named by the README, the CLI, the benchmark's trace replay or the
+acceptance tests.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
+import treegof
 from treegof.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+API_USERS = (
+    README,
+    ROOT / "src" / "treegof" / "cli.py",
+    ROOT / "perfbench" / "traced.py",
+    ROOT / "tests" / "test_acceptance.py",
+)
 
 
 def _quick_start() -> str:
@@ -32,3 +44,15 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert float(statistic) >= 0.0 and float(quantile) > 0.0
     assert 0.0 < float(p_value) <= 1.0
     assert reject in ("True", "False")
+
+
+def test_every_exported_function_has_a_user():
+    # classes are exempt: they are the functions' return types
+    text = "\n".join(path.read_text(encoding="utf-8") for path in API_USERS)
+    unused = [
+        name
+        for name in treegof.__all__
+        if inspect.isfunction(getattr(treegof, name))
+        and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unused == []
