@@ -57,6 +57,18 @@ _BLOCK_BUDGET = 65_536
 # 256 x 256 tiles and 0.64 s in 1000 x 65 tiles (one core)
 _TILE_SIDE = 256
 
+# budget, in doubles, of one column group's batch sums.  The fold and the
+# draws take the estimate columns a group at a time and hold one group's
+# sums, so memory does not grow with the column count
+_SUMS_BUDGET = 1 << 20
+
+# fewest columns of a group.  A group replays a multiplier stream of
+# more than one chunk, and one normal costs about as much as 330
+# multiply-adds of the coordinate matmul (one BLAS thread, 2-vCPU VM),
+# so a group of 4,096 columns or more spends at most 8% of its matmul
+# time on the replay
+_MIN_GROUP = 16 * _TILE_SIDE
+
 # blocks in flight per thread.  Results are consumed in order, so with
 # one per thread a thread that finishes early waits for the calling
 # thread to hand it the next block, and a stalled core stalls the pass
@@ -116,9 +128,9 @@ class HotellingResult:
 
 @dataclass(frozen=True)
 class _Fold:
-    """What the bootstrap keeps of the estimate columns after one pass:
-    the statistic, every column's variance proxy, and the batch sums,
-    scales and sidedness of the kept (non-degenerate) columns."""
+    """What the bootstrap keeps of one column group after one pass: the
+    statistic, every column's variance proxy, and the batch sums, scales
+    and sidedness of the kept (non-degenerate) columns."""
 
     statistic: float
     diag: np.ndarray
@@ -174,11 +186,27 @@ def _ordered_map(jobs: int):
         yield imap
 
 
-def _column_slices(rows: int, n_columns: int):
-    """Column chunks of at most ``_BLOCK_BUDGET`` values (at least one
-    column)."""
+def _column_groups(omega: int, n_columns: int):
+    """Column ranges of ``max(_SUMS_BUDGET // omega, _MIN_GROUP)``
+    columns, rounded down to whole tiles: when no column is dropped, the
+    groups' coordinate tiles are those of one group of every column.
+    Zero columns make one empty group."""
+    width = max(_SUMS_BUDGET // omega, _MIN_GROUP) // _TILE_SIDE * _TILE_SIDE
+    width = max(width, _TILE_SIDE)
+    return [
+        slice(lo, min(lo + width, n_columns))
+        for lo in range(0, max(n_columns, 1), width)
+    ]
+
+
+def _column_slices(rows: int, group: slice):
+    """Column chunks of ``group`` of at most ``_BLOCK_BUDGET`` values (at
+    least one column)."""
     width = max(1, _BLOCK_BUDGET // rows)
-    return [slice(lo, lo + width) for lo in range(0, n_columns, width)]
+    return [
+        slice(lo, min(lo + width, group.stop))
+        for lo in range(group.start, group.stop, width)
+    ]
 
 
 def _moments(values: np.ndarray, omega: int, batch_size: int):
@@ -224,18 +252,49 @@ def _fold_chunk(block, rows, one_sided, batch_size, cols):
 
 
 def _fold(
-    block, rows: int, one_sided: np.ndarray, batch_size: int, imap=map
+    block, rows: int, one_sided: np.ndarray, batch_size: int, group: slice,
+    store: np.ndarray, imap,
 ) -> _Fold:
-    """One pass over the estimate columns, chunk by chunk in canonical
-    order; ``block(cols)`` returns the rows x len(cols) values of the
-    columns in the slice ``cols``.
+    """One pass over the estimate columns of ``group``, chunk by chunk in
+    canonical order; ``block(cols)`` returns the rows x len(cols) values
+    of the columns in the slice ``cols``.
 
     Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
     (the diagonal of the batched covariance estimator) and the
     studentized means.  Rows beyond the largest multiple of the batch
-    size are not batched (the means still use every row).  The chunks'
-    results are stored in chunk order.
+    size are not batched (the means still use every row).  The kept
+    columns' batch sums are stored in chunk order at the front of
+    ``store``.
+    """
+    width = group.stop - group.start
+    diag = np.empty(width)
+    scale = np.empty(width)
+    kept_sided = np.empty(width, dtype=bool)
+    statistic = -math.inf
+    kept = 0
+    slices = _column_slices(rows, group)
+    work = partial(_fold_chunk, block, rows, one_sided, batch_size)
+    for cols, (d, chunk_sums, chunk_scale, sided, peak) in zip(
+        slices, imap(work, slices)
+    ):
+        diag[cols.start - group.start : cols.stop - group.start] = d
+        take = len(sided)
+        statistic = max(statistic, peak)
+        store[:, kept : kept + take] = chunk_sums
+        scale[kept : kept + take] = chunk_scale
+        kept_sided[kept : kept + take] = sided
+        kept += take
+    return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
+
+
+def _folds(block, rows: int, one_sided: np.ndarray, batch_size: int, imap=map):
+    """Fold the estimate columns one column group (``_column_groups``) at
+    a time, yielding each group's ``_Fold``.
+
+    Every group's batch sums go to one omega x W store, so only one
+    group's sums are alive, and a fold's ``sums`` hold only until the
+    next group is folded.
     """
     omega = rows // batch_size
     if omega < 2:
@@ -243,36 +302,29 @@ def _fold(
             f"{rows} rows with batch size {batch_size} leave {omega} batches; "
             "need at least 2"
         )
-    n_columns = len(one_sided)
-    diag = np.empty(n_columns)
-    sums = np.empty((omega, n_columns))
-    scale = np.empty(n_columns)
-    kept_sided = np.empty(n_columns, dtype=bool)
-    statistic = -math.inf
-    kept = 0
-    slices = _column_slices(rows, n_columns)
-    work = partial(_fold_chunk, block, rows, one_sided, batch_size)
-    for cols, (d, chunk_sums, chunk_scale, sided, peak) in zip(
-        slices, imap(work, slices)
-    ):
-        diag[cols] = d
-        take = len(sided)
-        statistic = max(statistic, peak)
-        sums[:, kept : kept + take] = chunk_sums
-        scale[kept : kept + take] = chunk_scale
-        kept_sided[kept : kept + take] = sided
-        kept += take
-    return _Fold(statistic, diag, sums[:, :kept], scale[:kept], kept_sided[:kept])
+    groups = _column_groups(omega, len(one_sided))
+    store = np.empty((omega, groups[0].stop))
+    for group in groups:
+        yield _fold(block, rows, one_sided, batch_size, group, store, imap)
 
 
-def _require_columns(fold: _Fold) -> _Fold:
-    if fold.k_effective == 0:
+def _seq_folds(seq: EstimateSequence, batch_size: int):
+    return _folds(lambda cols: seq.values[:, cols], seq.n_rows, seq.one_sided, batch_size)
+
+
+def _require_columns(kept: int) -> int:
+    if kept == 0:
         raise ValueError("every column is numerically constant; nothing to test")
-    return fold
+    return kept
 
 
-def _seq_fold(seq: EstimateSequence, batch_size: int) -> _Fold:
-    return _fold(lambda cols: seq.values[:, cols], seq.n_rows, seq.one_sided, batch_size)
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a ``SeedSequence``, from which every column group
+    restarts the same multiplier stream (``None`` draws fresh entropy
+    once)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers):
@@ -281,6 +333,8 @@ def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers):
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
+    ``seed`` is a ``SeedSequence``, so every column group draws the same
+    stream.
     """
     omega = fold.sums.shape[0]
     rng = np.random.default_rng(seed)
@@ -360,10 +414,36 @@ def _draws(fold: _Fold, num_draws: int, seed, multipliers=None, imap=map) -> np.
     return out
 
 
+def _bootstrap(folds, num_draws: int, seed, multipliers=None, imap=map):
+    """The statistic, the sup-norm draws, the kept columns and all
+    columns of the column groups ``folds``.
+
+    Every group's draws replay the multiplier stream from ``seed`` with
+    a fresh generator, except that a stream of one chunk is drawn once
+    and kept for every group (the threads wait while the calling thread
+    draws a chunk).  A group with no kept column draws nothing.  The
+    groups' statistics and draws combine by ``max``, which is exact and
+    independent of order.
+    """
+    seed = _seed_sequence(seed)
+    statistic = -math.inf
+    draws = np.full(num_draws, -np.inf)
+    kept = columns = 0
+    for fold in folds:
+        statistic = max(statistic, fold.statistic)
+        kept += fold.k_effective
+        columns += len(fold.diag)
+        if fold.k_effective and num_draws:
+            if multipliers is None and num_draws * fold.sums.shape[0] <= _CHUNK_BUDGET:
+                multipliers = next(_multiplier_chunks(fold, num_draws, seed, None))[1]
+            np.maximum(draws, _draws(fold, num_draws, seed, multipliers, imap), out=draws)
+    return statistic, draws, _require_columns(kept), columns
+
+
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
     """Per-column variance proxies from batch sums: the diagonal of the
     batched covariance estimator."""
-    return _seq_fold(seq, batch_size).diag
+    return np.concatenate([fold.diag for fold in _seq_folds(seq, batch_size)])
 
 
 def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
@@ -374,7 +454,7 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
     contribute signed values, so only positive deviations count against
     the null.
     """
-    return _require_columns(_seq_fold(seq, batch_size)).statistic
+    return _bootstrap(_seq_folds(seq, batch_size), 0, None)[0]
 
 
 def multiplier_draws(
@@ -391,8 +471,7 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).  ``multipliers`` overrides the random draw for testing.
     """
-    fold = _require_columns(_seq_fold(seq, batch_size))
-    return _draws(fold, num_draws, seed, multipliers)
+    return _bootstrap(_seq_folds(seq, batch_size), num_draws, seed, multipliers)[1]
 
 
 def bootstrap_coordinates(
@@ -409,12 +488,17 @@ def bootstrap_coordinates(
     coordinates whose signed/absolute row maxima are exactly the draws.
     Conditionally on the data, every coordinate has variance 1.
     """
-    fold = _require_columns(_seq_fold(seq, batch_size))
-    out = np.empty((num_draws, fold.k_effective))
-    for draws, e in _multiplier_chunks(fold, num_draws, seed, multipliers):
-        for rows, cols in _coordinate_tiles(fold, len(e)):
-            out[draws][rows, cols] = _coordinates(fold, e[rows], cols)
-    return out
+    seed = _seed_sequence(seed)
+    groups = []
+    for fold in _seq_folds(seq, batch_size):
+        out = np.empty((num_draws, fold.k_effective))
+        if fold.k_effective:
+            for draws, e in _multiplier_chunks(fold, num_draws, seed, multipliers):
+                for rows, cols in _coordinate_tiles(fold, len(e)):
+                    out[draws][rows, cols] = _coordinates(fold, e[rows], cols)
+        groups.append(out)
+    _require_columns(sum(out.shape[1] for out in groups))
+    return np.hstack(groups)
 
 
 def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
@@ -431,11 +515,9 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
 def _fold_and_draw(
     data, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int
 ):
-    if isinstance(config.seed, np.random.SeedSequence):
-        ss = config.seed
-    else:
-        ss = np.random.SeedSequence(config.seed)
-    mult_ss, sub_ss = ss.spawn(2)
+    """``_bootstrap`` of the estimate columns of ``data``, on ``jobs``
+    threads."""
+    mult_ss, sub_ss = _seed_sequence(config.seed).spawn(2)
     subsample = None
     if config.subsample is not None:
         subsample = (config.subsample, sub_ss)
@@ -443,17 +525,16 @@ def _fold_and_draw(
     if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
     with _ordered_map(jobs) as imap:
-        fold = _fold(source.block, source.rows, source.one_sided, config.batch_size, imap)
-        fold = _require_columns(fold)
-        return fold, _draws(fold, config.num_multipliers, mult_ss, imap=imap)
+        folds = _folds(source.block, source.rows, source.one_sided, config.batch_size, imap)
+        return _bootstrap(folds, config.num_multipliers, mult_ss, imap=imap)
 
 
 def statistic_and_draws(data, constraints: ConstraintSystem, config: BootstrapConfig):
     """The test statistic and its bootstrap draws, from one pass over
     the estimate columns on the calling thread; ``run_test`` compares
     exactly these."""
-    fold, draws = _fold_and_draw(data, constraints, config, 1)
-    return fold.statistic, draws
+    stat, draws, _, _ = _fold_and_draw(data, constraints, config, 1)
+    return stat, draws
 
 
 def run_test(
@@ -461,13 +542,15 @@ def run_test(
 ) -> TestResult:
     """Full bootstrap test of the constraint system on one dataset.
 
-    The estimate columns are built, reduced and dropped chunk by chunk;
-    only the batch sums of the kept columns are held for the draws.
-    Column chunks and coordinate tiles run on one thread per usable
-    core; the result is the same for any count.
+    The estimate columns are built, reduced and dropped chunk by chunk,
+    one column group at a time; only one group's batch sums of the kept
+    columns are held, for that group's draws.  Column chunks and
+    coordinate tiles run on one thread per usable core; the result is
+    the same for any count.
     """
-    fold, draws = _fold_and_draw(data, constraints, config, _usable_cores())
-    stat = fold.statistic
+    stat, draws, kept, columns = _fold_and_draw(
+        data, constraints, config, _usable_cores()
+    )
     quantile = quantile_from_draws(draws, config.alpha)
     p_value = (float(np.count_nonzero(draws >= stat)) + 1.0) / (
         config.num_multipliers + 1.0
@@ -477,8 +560,8 @@ def run_test(
         quantile=quantile,
         p_value=p_value,
         reject=bool(stat > quantile),
-        k_effective=fold.k_effective,
-        diag_floor_hits=len(fold.diag) - fold.k_effective,
+        k_effective=kept,
+        diag_floor_hits=columns - kept,
     )
 
 

@@ -183,9 +183,13 @@ def _parse_alpha_grid(spec: str):
         grid = [round(float(p), 10) for p in spec.split(",") if p.strip()]
     if not grid:
         raise ValueError(f"alpha grid {spec!r} is empty")
+    seen = set()
     for a in grid:
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha {a} not in (0, 1)")
+        if a in seen:
+            raise ValueError(f"alpha grid {spec!r} repeats level {a}")
+        seen.add(a)
     return grid
 
 

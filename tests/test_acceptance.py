@@ -5,19 +5,23 @@ covers constraint counting, the algebraic oracle pair, estimator
 unbiasedness, bootstrap normalization, empirical size at desk scale,
 behaviour near singular parameters, the quadratic-form comparison, and
 byte-level determinism of the command-line outputs.  A larger size
-study runs only when TREEGOF_SLOW=1 is set.
+study and an m=50 peak-memory check run only when TREEGOF_SLOW=1 is set.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+import treegof
 from conftest import random_latent_tree, star_tree
 from treegof.bootstrap import (
     bootstrap_coordinates,
@@ -191,6 +195,36 @@ def test_a5_size_calibration_m20():
     sizes = _empirical_sizes(1, 20, 250, 500, entropy=1003, alphas=(0.05, 0.10))
     assert 0.0 <= sizes[0] <= 0.08
     assert 0.0 <= sizes[1] <= 0.13
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TREEGOF_SLOW"),
+    reason="large memory study; set TREEGOF_SLOW=1 to run",
+)
+def test_m50_star_peak_rss_below_200mb(tmp_path, capsys):
+    # k = 460,600 columns over 166 batches: the omega x k batch-sum store
+    # alone would take 612 MB, and one column group's sums take 8 MB
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--setup", "1", "--m", "50", "--n", "500",
+                 "--seed", "0", "--out", str(data)]) == 0
+    capsys.readouterr()
+    child = (
+        "import resource, sys\n"
+        "from treegof.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "test", "--tree", str(_star_file(tmp_path, 50)),
+         "--data", str(data), "--seed", "0"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert json.loads(proc.stdout)["k_effective"] == 460_600
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 200.0, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_a6_size_near_singular_parameters():

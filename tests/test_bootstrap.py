@@ -87,7 +87,7 @@ def test_batch_sums_add_rows_in_order():
     rng = np.random.default_rng(8)
     values = rng.normal(size=(34, 8)) * 10.0 ** rng.integers(-3, 4, size=8)
     for batch in (3, 10):
-        fold = btmod._seq_fold(_seq(values), batch)
+        (fold,) = btmod._seq_folds(_seq(values), batch)
         # each column's mean from the column as one contiguous vector
         dev = values - [values[:, c].copy().mean() for c in range(values.shape[1])]
         omega = len(values) // batch
@@ -278,8 +278,8 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
             monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
             # every field compared with ==, floats included
             assert run_test(data, system, config) == base
-            fold, got_draws = btmod._fold_and_draw(data, system, config, jobs)
-            assert fold.statistic == stat
+            got_stat, got_draws, _, _ = btmod._fold_and_draw(data, system, config, jobs)
+            assert got_stat == stat
             np.testing.assert_array_equal(got_draws, draws)
     finally:
         sys.setswitchinterval(interval)
@@ -302,6 +302,92 @@ def test_results_invariant_to_sign_flips(seed, mode):
     for jobs in (1, 2):
         with mock.patch.object(btmod, "_usable_cores", lambda: jobs):
             assert run_test(x * flips, system, config) == run_test(x, system, config)
+
+
+# column groups of one 4-column tile, of two tiles, and of every column
+_GROUPINGS = {"1 tile": (1, 4), "2 tiles": (1, 8), "everything": (1 << 40, 4)}
+
+
+def _grouped(budget, min_group, jobs, chunk=btmod._CHUNK_BUDGET):
+    # the default chunk budget draws the test sizes' multiplier streams
+    # as one chunk, drawn once for every group; 2,000 values make the
+    # streams several chunks, which every group replays
+    return mock.patch.multiple(
+        btmod, _TILE_SIDE=4, _SUMS_BUDGET=budget, _MIN_GROUP=min_group,
+        _CHUNK_BUDGET=chunk, _usable_cores=lambda: jobs,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["equalities", "all"]))
+def test_results_invariant_to_column_groups(seed, mode):
+    # every group draws from the same multiplier stream and the groups
+    # combine by max, so only the tiles of the coordinate matmul change
+    # with the grouping, and with them at most the low bits of the draws
+    rng = np.random.default_rng(seed)
+    system = enumerate_constraints(random_latent_tree(rng, m_lo=4, m_hi=9, n_hi=12))
+    n = int(rng.integers(40, 150))
+    x = rng.standard_normal((n, system.m)) * rng.uniform(0.1, 10.0, system.m)
+    config = BootstrapConfig(num_multipliers=200, seed=seed, mode=mode)
+    with mock.patch.object(btmod, "_usable_cores", lambda: 1):
+        whole = run_test(x, system, config)
+    for name, (budget, min_group) in _GROUPINGS.items():
+        for jobs, chunk in ((1, btmod._CHUNK_BUDGET), (2, btmod._CHUNK_BUDGET), (2, 2000)):
+            with _grouped(budget, min_group, jobs, chunk):
+                got = run_test(x, system, config)
+            assert (got.statistic, got.k_effective, got.diag_floor_hits, got.reject) == (
+                whole.statistic, whole.k_effective, whole.diag_floor_hits, whole.reject
+            ), (name, jobs, chunk)
+            assert got.quantile == pytest.approx(whole.quantile, rel=1e-12, abs=0)
+
+
+def test_degenerate_column_group_draws_nothing():
+    # the first 20 of 30 columns hold the constant variable, so the
+    # first five 4-column groups keep no column and draw nothing
+    data, system, config = _constant_column_case()
+    seq = build_estimate_matrix(data, system)
+    whole = run_test(data, system, config)
+    draws = multiplier_draws(seq, 3, 200, 5)
+    diag = batched_diag(seq, 3)
+    fold, kept = btmod._fold, []
+
+    def recording_fold(*args):
+        result = fold(*args)
+        kept.append(result.k_effective)
+        return result
+
+    for name, (budget, min_group) in _GROUPINGS.items():
+        for jobs, chunk in ((1, btmod._CHUNK_BUDGET), (2, btmod._CHUNK_BUDGET), (2, 2000)):
+            kept.clear()
+            with _grouped(budget, min_group, jobs, chunk):
+                with mock.patch.object(btmod, "_fold", recording_fold):
+                    got = run_test(data, system, config)
+                got_draws = multiplier_draws(seq, 3, 200, 5)
+                coords = bootstrap_coordinates(seq, 3, 200, 5)
+                np.testing.assert_array_equal(batched_diag(seq, 3), diag)
+            assert (got.statistic, got.k_effective, got.diag_floor_hits) == (
+                whole.statistic, 10, 20
+            ), (name, jobs, chunk)
+            assert got.quantile == pytest.approx(whole.quantile, rel=1e-12, abs=0)
+            np.testing.assert_allclose(got_draws, draws, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(np.abs(coords).max(axis=1), got_draws)
+            expect = {"1 tile": [0] * 5 + [4, 4, 2], "2 tiles": [0, 0, 4, 6]}
+            assert kept == expect.get(name, [10]), (name, kept)
+    # a constant variable of a 4-variable star leaves no column at all
+    data, system, config = _null_case(4, 100, 3)
+    x = data.data.copy()
+    x[:, 2] = -1.0
+    seq = build_estimate_matrix(x, system)
+    for name, (budget, min_group) in _GROUPINGS.items():
+        with _grouped(budget, min_group, 2):
+            for call in (
+                lambda: run_test(x, system, config),
+                lambda: sup_statistic(seq, 3),
+                lambda: multiplier_draws(seq, 3, 50, 1),
+                lambda: bootstrap_coordinates(seq, 3, 50, 1),
+            ):
+                with pytest.raises(ValueError, match="every column is numerically constant"):
+                    call()
 
 
 def test_coordinates_have_unit_conditional_variance():
@@ -487,13 +573,38 @@ def test_run_test_memory_below_estimate_matrix(monkeypatch):
         assert peak < matrix_bytes, f"jobs={jobs}: traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_test_memory_below_batch_sum_store(monkeypatch):
+    # m=20 star in 256-column groups, 38 of them: one group's batch sums
+    # take 0.3 MB of the 12.9 MB omega x k store.  The rest of the peak
+    # (about 3.8 MiB on one thread and 5.6 MiB on two) is the 1.3 MB of
+    # multipliers kept for every group, and the column chunks and
+    # coordinate tiles in flight.
+    system = enumerate_constraints(star_tree(20))
+    data = sample(covariance_from_factor(setup_params(1, 20, seed=0)), 500, seed=1)
+    omega = 499 // 3
+    store_bytes = omega * system.n_equality_terms * 8
+    monkeypatch.setattr(btmod, "_SUMS_BUDGET", omega * 256)
+    monkeypatch.setattr(btmod, "_MIN_GROUP", btmod._TILE_SIDE)
+    assert len(btmod._column_groups(omega, system.n_equality_terms)) >= 3
+    for jobs in (1, 2):
+        monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+        tracemalloc.start()
+        try:
+            result = run_test(data, system, BootstrapConfig(seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.k_effective == 9690
+        assert peak < store_bytes / 2, f"jobs={jobs}: traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_draws_memory_flat_in_thread_count(monkeypatch):
     # many batches and two tiles per multiplier chunk, with tiles slower
     # than the draw of a chunk: the draws still run ahead by at most one
     # chunk, however many threads take the tiles
     system = enumerate_constraints(star_tree(8))
     data = sample(covariance_from_factor(setup_params(1, 8, seed=0)), 6002, seed=2)
-    fold = btmod._seq_fold(build_estimate_matrix(data, system, mode="all"), 2)
+    (fold,) = btmod._seq_folds(build_estimate_matrix(data, system, mode="all"), 2)
     omega = (6002 - 2) // 2
     chunk_bytes = (btmod._CHUNK_BUDGET // omega) * omega * 8
     assert len(btmod._coordinate_tiles(fold, btmod._CHUNK_BUDGET // omega)) == 2

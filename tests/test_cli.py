@@ -638,6 +638,22 @@ def test_simulate_bad_alpha_grid(tmp_path, capsys):
     assert "alpha grid" in capsys.readouterr().err
 
 
+def test_simulate_refuses_repeated_alpha_levels(tmp_path, capsys):
+    # a listed level twice, or a step below the 1e-10 rounding of each
+    # level, would estimate and write the same row twice
+    out = tmp_path / "sizes.csv"
+    for spec in ("0.1,0.1", "0.5:0.5:1e-12"):
+        level = spec.split(",")[0].split(":")[0]
+        rc = main([
+            "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "2",
+            "--alpha-grid", spec, "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha grid '{spec}' repeats level {level}\n"
+        assert not out.exists()
+
+
 def test_simulate_rejects_nonpositive_reps(tmp_path, capsys):
     # --jobs below 1 is refused like --reps, before any file is written
     for flag, value in (("--reps", "0"), ("--reps", "-3"), ("--jobs", "0"), ("--jobs", "-3")):
