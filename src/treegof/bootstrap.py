@@ -497,7 +497,7 @@ def bootstrap_coordinates(
                 for rows, cols in _coordinate_tiles(fold, len(e)):
                     out[draws][rows, cols] = _coordinates(fold, e[rows], cols)
         groups.append(out)
-    _require_columns(sum(out.shape[1] for out in groups))
+    _require_columns(sum(block.shape[1] for block in groups))
     return np.hstack(groups)
 
 
