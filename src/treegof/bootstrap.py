@@ -211,7 +211,7 @@ def _column_slices(rows: int, group: slice):
 
 def _moments(values: np.ndarray, omega: int, batch_size: int):
     """Column means, batch sums of deviations and variance proxies of
-    one chunk; the chunk itself is dropped on return.
+    one chunk, whose batched rows are overwritten with the deviations.
 
     The chunk is reduced in column-major layout, which the column
     builder already produces: numpy then sums each column as one
@@ -222,7 +222,9 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     """
     values = np.asfortranarray(values)
     ybar = values.mean(axis=0)
-    batches = (values[: omega * batch_size] - ybar).reshape(omega, batch_size, -1)
+    batched = values[: omega * batch_size]
+    batched -= ybar
+    batches = batched.reshape(omega, batch_size, -1)
     # a batch's rows are added in row order, one row of every batch at a
     # time: ``sum(axis=1)`` over the short batch axis is ten times
     # slower.  The sums stay column-major, so each column's squares add
@@ -233,12 +235,19 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
 
 
-def _fold_chunk(block, rows, one_sided, batch_size, cols):
+def _fold_chunk(block, spare, rows, one_sided, batch_size, cols):
     """Reduce the columns ``cols``: their variance proxies and, for the
     kept (non-degenerate) ones, batch sums, scales, sidedness and the
-    largest studentized mean (-inf when none is kept)."""
+    largest studentized mean (-inf when none is kept).
+
+    The columns are built in a workspace taken from ``spare``, which
+    gets it back when the chunk is reduced."""
     omega = rows // batch_size
-    ybar, sums, d = _moments(block(cols), omega, batch_size)
+    work = spare.pop()
+    try:
+        ybar, sums, d = _moments(block(cols, work), omega, batch_size)
+    finally:
+        spare.append(work)
     keep = d > DIAG_FLOOR
     z = math.sqrt(rows) * ybar[keep] / np.sqrt(d[keep])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
@@ -252,12 +261,14 @@ def _fold_chunk(block, rows, one_sided, batch_size, cols):
 
 
 def _fold(
-    block, rows: int, one_sided: np.ndarray, batch_size: int, group: slice,
-    store: np.ndarray, imap,
+    block, workspace, rows: int, one_sided: np.ndarray, batch_size: int,
+    group: slice, store: np.ndarray, imap, jobs: int,
 ) -> _Fold:
     """One pass over the estimate columns of ``group``, chunk by chunk in
-    canonical order; ``block(cols)`` returns the rows x len(cols) values
-    of the columns in the slice ``cols``.
+    canonical order; ``block(cols, work)`` returns the rows x len(cols)
+    values of the columns in the slice ``cols``, built in ``work`` from
+    ``workspace(width)``, and the fold overwrites them; ``imap`` runs
+    at most ``jobs`` chunks at a time.
 
     Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
@@ -266,6 +277,10 @@ def _fold(
     size are not batched (the means still use every row).  The kept
     columns' batch sums are stored in chunk order at the front of
     ``store``.
+
+    The fold allocates one workspace for the widest chunk per chunk in
+    flight, on the calling thread, and frees them when it returns, so
+    that they are not held during the draws.
     """
     width = group.stop - group.start
     diag = np.empty(width)
@@ -274,7 +289,9 @@ def _fold(
     statistic = -math.inf
     kept = 0
     slices = _column_slices(rows, group)
-    work = partial(_fold_chunk, block, rows, one_sided, batch_size)
+    widest = slices[0].stop - slices[0].start if slices else 0
+    spare = deque(workspace(widest) for _ in range(min(jobs, len(slices))))
+    work = partial(_fold_chunk, block, spare, rows, one_sided, batch_size)
     for cols, (d, chunk_sums, chunk_scale, sided, peak) in zip(
         slices, imap(work, slices)
     ):
@@ -288,7 +305,10 @@ def _fold(
     return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
 
 
-def _folds(block, rows: int, one_sided: np.ndarray, batch_size: int, imap=map):
+def _folds(
+    block, workspace, rows: int, one_sided: np.ndarray, batch_size: int,
+    imap=map, jobs: int = 1,
+):
     """Fold the estimate columns one column group (``_column_groups``) at
     a time, yielding each group's ``_Fold``.
 
@@ -305,11 +325,17 @@ def _folds(block, rows: int, one_sided: np.ndarray, batch_size: int, imap=map):
     groups = _column_groups(omega, len(one_sided))
     store = np.empty((omega, groups[0].stop))
     for group in groups:
-        yield _fold(block, rows, one_sided, batch_size, group, store, imap)
+        yield _fold(
+            block, workspace, rows, one_sided, batch_size, group, store, imap, jobs
+        )
 
 
 def _seq_folds(seq: EstimateSequence, batch_size: int):
-    return _folds(lambda cols: seq.values[:, cols], seq.n_rows, seq.one_sided, batch_size)
+    # each chunk is a copy, since the fold overwrites it
+    return _folds(
+        lambda cols, work: seq.values[:, cols].copy(order="F"), lambda width: None,
+        seq.n_rows, seq.one_sided, batch_size,
+    )
 
 
 def _require_columns(kept: int) -> int:
@@ -525,7 +551,10 @@ def _fold_and_draw(
     if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
     with _ordered_map(jobs) as imap:
-        folds = _folds(source.block, source.rows, source.one_sided, config.batch_size, imap)
+        folds = _folds(
+            source.block, source.workspace, source.rows, source.one_sided,
+            config.batch_size, imap, jobs,
+        )
         return _bootstrap(folds, config.num_multipliers, mult_ss, imap=imap)
 
 

@@ -5,7 +5,8 @@ consecutive sample rows estimate them without bias; the resulting column
 sequences are 1-dependent.  Sign inequalities are cubic and use three
 consecutive rows, giving 2-dependent sequences.  Columns follow the
 canonical constraint order; the bootstrap builds them chunk by chunk
-from a ``ColumnSource``, ``build_estimate_matrix`` as one matrix.
+from a ``ColumnSource``, in buffers it reuses from chunk to chunk,
+``build_estimate_matrix`` as one matrix.
 """
 
 from __future__ import annotations
@@ -40,23 +41,52 @@ def _data_array(data, m: int) -> np.ndarray:
     return x
 
 
-def _difference_columns(x: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """One column per (a, b, c, d) row of ``quads``: products of
-    consecutive rows, unbiased for sigma_ab * sigma_cd - sigma_ad * sigma_cb."""
+def _gather(xt: np.ndarray, idx: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The variables ``idx`` of the C-contiguous n-column ``xt``, one row
+    each, written into the front rows of ``gather``.
+
+    ``mode="clip"`` lets ``np.take`` write into ``gather`` directly (the
+    indices are in range), and from a contiguous source it copies only
+    the rows it takes."""
+    return np.take(xt, idx, axis=0, out=gather[: len(idx)], mode="clip")
+
+
+def _difference_columns(xt, quads, out, second, gather):
+    """Write into the rows of ``out`` one column per (a, b, c, d) row of
+    ``quads``: products of consecutive samples, unbiased for
+    sigma_ab * sigma_cd - sigma_ad * sigma_cb.
+
+    ``xt`` holds one variable per row; ``out`` and ``second`` have one
+    row per column and one entry per estimate.  Both products multiply
+    in the order of u_a*u_b*v_c*v_d - u_a*u_d*v_c*v_b, with u the
+    earlier and v the later sample, so the values do not depend on the
+    buffers."""
+    rows = out.shape[1]
     a, b, c, d = quads.T
-    u = x[:-1]
-    v = x[1:]
-    return u[:, a] * u[:, b] * v[:, c] * v[:, d] - u[:, a] * u[:, d] * v[:, c] * v[:, b]
+    second = second[: len(quads)]
+    ua = _gather(xt, a, gather)[:, :rows]
+    out[...] = ua
+    second[...] = ua
+    out *= _gather(xt, b, gather)[:, :rows]
+    second *= _gather(xt, d, gather)[:, :rows]
+    vc = _gather(xt, c, gather)[:, 1 : rows + 1]
+    out *= vc
+    second *= vc
+    out *= _gather(xt, d, gather)[:, 1 : rows + 1]
+    second *= _gather(xt, b, gather)[:, 1 : rows + 1]
+    out -= second
 
 
-def _monomial_columns(x: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """One column per (p, q, r) row of ``triples``: products over three
-    consecutive rows, unbiased for sigma_pq * sigma_pr * sigma_qr."""
+def _monomial_columns(xt, triples, out, gather):
+    """Write into the rows of ``out`` one column per (p, q, r) row of
+    ``triples``: products over three consecutive samples w0, w1, w2,
+    unbiased for sigma_pq * sigma_pr * sigma_qr, multiplied in the order
+    of w0_p*w0_q*w1_p*w1_r*w2_q*w2_r."""
+    rows = out.shape[1]
     p, q, r = triples.T
-    w0 = x[:-2]
-    w1 = x[1:-1]
-    w2 = x[2:]
-    return w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
+    out[...] = _gather(xt, p, gather)[:, :rows]
+    for idx, lag in ((q, 0), (p, 1), (r, 1), (q, 2), (r, 2)):
+        out *= _gather(xt, idx, gather)[:, lag : lag + rows]
 
 
 @dataclass(frozen=True)
@@ -117,17 +147,38 @@ class ColumnSource:
     def one_sided(self) -> np.ndarray:
         return np.arange(self.n_columns) >= len(self.quads)
 
-    def block(self, cols: slice) -> np.ndarray:
+    def workspace(self, width: int):
+        """Buffers for chunks of up to ``width`` columns: the columns, the
+        second product of the difference columns and one gathered
+        variable per column."""
+        return (
+            np.empty((width, self.rows)),
+            np.empty((width, self.rows)),
+            np.empty((width, self.x.shape[0])),
+        )
+
+    def block(self, cols: slice, work) -> np.ndarray:
         """Columns ``cols.start`` to ``cols.stop - 1``, one row per
-        estimate; sign columns hold negated monomial estimates, so that
-        large positive values indicate violation."""
+        estimate, in column-major layout; sign columns hold negated
+        monomial estimates, so that large positive values indicate
+        violation.
+
+        The columns are built in ``work``, a ``workspace`` of at least
+        ``len(cols)`` columns, and the result is a view of it."""
         split = len(self.quads)
         quads = self.quads[cols]
         triples = self.triples[max(cols.start - split, 0) : max(cols.stop - split, 0)]
-        eq = _difference_columns(self.x[: self.rows + 1], quads)
-        if len(triples) == 0:
-            return eq
-        return np.hstack([eq, -_monomial_columns(self.x, triples)])
+        out, second, gather = work
+        out = out[: len(quads) + len(triples)]
+        # the working copy is column-major, so its transpose holds each
+        # variable's samples contiguously
+        xt = self.x.T
+        _difference_columns(xt, quads, out[: len(quads)], second, gather)
+        if len(triples):
+            signs = out[len(quads) :]
+            _monomial_columns(xt, triples, signs, gather)
+            np.negative(signs, out=signs)
+        return out.T
 
 
 def column_source(
@@ -207,7 +258,8 @@ def build_estimate_matrix(
         mean-zero construction.
     """
     source = column_source(data, constraints, mode, subsample, center)
-    values = source.block(slice(0, source.n_columns))
+    width = source.n_columns
+    values = source.block(slice(0, width), source.workspace(width))
     return EstimateSequence(values, source.one_sided)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .tree import (
     _PAIRINGS,
     LatentTree,
-    _classify,
+    _classification_blocks,
     _edge_map,
     _pairing_sums,
     _path_fold,
@@ -142,22 +142,23 @@ def is_t_induced(delta, tree: LatentTree) -> MetricReport:
     if delta.shape != (tree.m, tree.m):
         raise ValueError(f"matrix shape {delta.shape} does not match m={tree.m}")
     metric = _pseudo_metric_violations(delta)
-    chains, _, quads, pairing = _classify(tree)
+    three, four = (), ()
+    # block by block, in chain and in quadruple order
+    for chains, _, quads, pairing in _classification_blocks(tree):
+        a, mid, b = chains.T
+        res = np.abs(delta[a, mid] + delta[mid, b] - delta[a, b])
+        three += _flagged(("three-point",), chains, res[:, None])
 
-    a, mid, b = chains.T
-    res = np.abs(delta[a, mid] + delta[mid, b] - delta[a, b])
-    three = _flagged(("three-point",), chains, res[:, None])
-
-    # one row per edge-disjoint pairing, in quadruple then pairing order
-    row, k = np.nonzero((pairing[:, None] < 0) | (pairing[:, None] == np.arange(3)))
-    sums = _pairing_sums(delta, quads)[row]
-    own = sums[np.arange(len(row)), k]
-    others = np.array([[1, 2], [0, 2], [0, 1]])[k]
-    first, second = np.take_along_axis(sums, others, axis=1).T
-    lower = np.where(second < first, second, first)
-    res = np.stack([np.abs(first - second), own - lower], axis=1)
-    blocks = quads[row[:, None], _PAIRINGS[k]]
-    four = _flagged(("four-point-eq", "four-point-ineq"), blocks, res)
+        # one row per edge-disjoint pairing, in quadruple then pairing order
+        row, k = np.nonzero((pairing[:, None] < 0) | (pairing[:, None] == np.arange(3)))
+        sums = _pairing_sums(delta, quads)[row]
+        own = sums[np.arange(len(row)), k]
+        others = np.array([[1, 2], [0, 2], [0, 1]])[k]
+        first, second = np.take_along_axis(sums, others, axis=1).T
+        lower = np.where(second < first, second, first)
+        res = np.stack([np.abs(first - second), own - lower], axis=1)
+        blocks = quads[row[:, None], _PAIRINGS[k]]
+        four += _flagged(("four-point-eq", "four-point-ineq"), blocks, res)
 
     return MetricReport(
         is_induced=not (metric or three or four),

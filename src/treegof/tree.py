@@ -177,6 +177,13 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return rows
 
 
+def _starting_with(first: int, m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) whose smallest element is ``first``, as
+    a sorted row, in lexicographic order."""
+    rest = first + 1 + _combinations(m - first - 1, k - 1)
+    return np.hstack([np.full((len(rest), 1), first, dtype=np.intp), rest])
+
+
 # the pairings p q|r s, p r|q s and p s|q r of a sorted quadruple, as
 # column positions (block 1, block 2)
 _PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
@@ -188,44 +195,50 @@ def _pairing_sums(d: np.ndarray, quads: np.ndarray) -> np.ndarray:
     return d[q[..., 0], q[..., 1]] + d[q[..., 2], q[..., 3]]
 
 
-def _classify(tree: LatentTree):
+def _classification_blocks(tree: LatentTree):
     """Chain/star class of every observed triple and split/degenerate
-    class of every observed quadruple.
+    class of every observed quadruple, one block per smallest variable.
 
     With unit edge weights, a triple is a chain with middle q exactly
     when d_pq + d_qr = d_pr, and a quadruple is a split exactly when one
     pairing sum is strictly smallest (that pairing's two paths share no
     edge); it is degenerate when all three sums agree.
 
-    Returns
-    -------
+    Yields, for each first variable f = 0, ..., m - 3, the classes of
+    the triples and quadruples whose smallest variable is f:
+
     chains : (c, 3) rows (a, middle, b) with a < b
     stars : (t, 3) sorted rows
-    quads : (C(m, 4), 4) sorted rows, lexicographic
+    quads : (C(m - f - 1, 3), 4) sorted rows
     pairing : per quadruple, the index into ``_PAIRINGS`` of its split,
         or -1 when degenerate
 
-    Chains, stars and quadruples each follow lexicographic order.
+    Chains, stars and quadruples each follow lexicographic order within
+    a block, and so across the blocks in turn.  A block holds O(m^3)
+    rows, so a caller that reduces it before taking the next never
+    holds the O(m^4) classification of every quadruple.
     """
+    m = tree.m
     hops = _path_fold(tree, dict.fromkeys(tree.edges, 1), operator.add, 0)
-    tri = _combinations(tree.m, 3)
-    p, q, r = tri.T
-    is_mid = np.stack(
-        [
-            hops[q, p] + hops[p, r] == hops[q, r],
-            hops[p, q] + hops[q, r] == hops[p, r],
-            hops[p, r] + hops[r, q] == hops[p, q],
-        ],
-        axis=1,
-    )
-    chain = is_mid.any(axis=1)
-    order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
-    chains = np.take_along_axis(tri, order, axis=1)[chain]
-    quads = _combinations(tree.m, 4)
-    sums = _pairing_sums(hops, quads)
-    lowest = sums == sums.min(axis=1, keepdims=True)
-    pairing = np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
-    return chains, tri[~chain], quads, pairing
+    for first in range(m - 2):
+        tri = _starting_with(first, m, 3)
+        p, q, r = tri.T
+        is_mid = np.stack(
+            [
+                hops[q, p] + hops[p, r] == hops[q, r],
+                hops[p, q] + hops[q, r] == hops[p, r],
+                hops[p, r] + hops[r, q] == hops[p, q],
+            ],
+            axis=1,
+        )
+        chain = is_mid.any(axis=1)
+        order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
+        chains = np.take_along_axis(tri, order, axis=1)[chain]
+        quads = _starting_with(first, m, 4)
+        sums = _pairing_sums(hops, quads)
+        lowest = sums == sums.min(axis=1, keepdims=True)
+        pairing = np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
+        yield chains, tri[~chain], quads, pairing
 
 
 # kind codes: equalities first, each side in listing rank
@@ -365,34 +378,57 @@ def enumerate_constraints(tree: LatentTree) -> ConstraintSystem:
     """
     if tree.m < 3:
         raise TreeError("constraint enumeration needs at least 3 observed nodes")
-    chains, stars, quads, pairing = _classify(tree)
+    # every block's equality terms, then every block's inequality terms:
+    # each side is ordered by the sorted variable tuple first, and a
+    # block's terms share the smallest variable
+    equalities, inequalities = [], []
+    for block in _classification_blocks(tree):
+        kinds, index = _block_terms(*block)
+        n_eq = np.count_nonzero(kinds < SIGN)
+        equalities.append((kinds[:n_eq], index[:n_eq]))
+        inequalities.append((kinds[n_eq:], index[n_eq:]))
+    pieces = equalities + inequalities
+    return ConstraintSystem(
+        tree.m,
+        np.concatenate([kinds for kinds, _ in pieces]),
+        np.concatenate([index for _, index in pieces]),
+    )
+
+
+def _block_terms(chains, stars, quads, pairing):
+    """The terms of one classification block (``_classification_blocks``),
+    in canonical order: its equalities, then its inequalities."""
     # sort keys of three-variable terms: the sorted triple, then -1
-    chain_key = np.c_[np.sort(chains, axis=1), np.full(len(chains), -1)]
-    star_key = np.c_[stars, np.full(len(stars), -1)]
+    chain_key = _padded(np.sort(chains, axis=1))
+    star_key = _padded(stars)
     split, degenerate = quads[pairing >= 0], quads[pairing < 0]
-    # blocks ab|cd of each split, min-first
-    a, b, c, d = np.take_along_axis(split, _PAIRINGS[pairing[pairing >= 0]], axis=1).T
-    p, q, r = stars.T
-    w, x, y, z = degenerate.T
+    # rows (a, b, c, d) for the blocks ab|cd of each split, min-first
+    blocks = np.take_along_axis(split, _PAIRINGS[pairing[pairing >= 0]], axis=1)
     # (kind, tie-break, index rows, sort key) per family of terms
     families = [
         (CHAIN, 0, chains[:, [0, 1, 1, 2]], chain_key),
         (SIGN, 0, chain_key, chain_key),
         (SIGN, 0, star_key, star_key),
-        (SPLIT, 0, np.c_[a, c, b, d], split),
-        (SPLIT_BOUND, 0, np.c_[a, c, d, b], split),
-        (TRIANGLE, 0, np.c_[p, q, q, r], star_key),
-        (TRIANGLE, 1, np.c_[p, r, r, q], star_key),
-        (TRIANGLE, 2, np.c_[q, p, p, r], star_key),
-        (TETRAD, 0, np.c_[w, z, x, y], degenerate),
-        (TETRAD, 1, np.c_[w, x, z, y], degenerate),
+        (SPLIT, 0, blocks[:, [0, 2, 1, 3]], split),
+        (SPLIT_BOUND, 0, blocks[:, [0, 2, 3, 1]], split),
+        (TRIANGLE, 0, stars[:, [0, 1, 1, 2]], star_key),
+        (TRIANGLE, 1, stars[:, [0, 2, 2, 1]], star_key),
+        (TRIANGLE, 2, stars[:, [1, 0, 0, 2]], star_key),
+        (TETRAD, 0, degenerate[:, [0, 3, 1, 2]], degenerate),
+        (TETRAD, 1, degenerate[:, [0, 1, 3, 2]], degenerate),
     ]
-    kinds = np.concatenate([np.full(len(f[3]), f[0], dtype=np.int8) for f in families])
-    subs = np.concatenate([np.full(len(f[3]), f[1]) for f in families])
+    sizes = [len(f[3]) for f in families]
+    kinds = np.repeat(np.array([f[0] for f in families], dtype=np.int8), sizes)
+    subs = np.repeat([f[1] for f in families], sizes)
     index = np.concatenate([f[2] for f in families])
     keys = np.concatenate([f[3] for f in families])
     order = np.lexsort((subs, kinds, *keys.T[::-1], kinds >= SIGN))
-    return ConstraintSystem(tree.m, kinds[order], index[order])
+    return kinds[order], index[order]
+
+
+def _padded(triples: np.ndarray) -> np.ndarray:
+    """Rows of three variables as rows of four, the last -1."""
+    return np.hstack([triples, np.full((len(triples), 1), -1)])
 
 
 def parse_tree(text: str) -> LatentTree:

@@ -12,6 +12,10 @@ The corpus:
   inner_node_tree()  latent ``4`` with leaves 1 and 2; observed ``5``
                      adjacent to 4 and to leaf 3; observed order 1, 2,
                      3, 5.  Node 5 sits inside two observed chains.
+  mixed_tree(h, l)   latent hubs ``h1 .. hh`` with ``l`` observed leaves
+                     each, joined in a row through observed degree-two
+                     connectors ``c1 .. c(h-1)``: chains, splits, stars
+                     and degenerate quadruples all occur.
 
 random_latent_tree draws a uniform labeled tree from its sequence
 encoding, forces degree <= 2 nodes to be observed, promotes higher-degree
@@ -24,6 +28,9 @@ paths, independently of the package's distance-based classification.
 reference_listing gives the (kind, indices, polynomial) rows of a
 constraint system one term at a time, from the per-row polynomial
 formulas, independently of the package's block formatter.
+
+product_columns gives estimate columns as the plain product expressions
+on row-major data, independently of the package's buffered builder.
 """
 
 from __future__ import annotations
@@ -54,6 +61,18 @@ def caterpillar() -> LatentTree:
 def inner_node_tree() -> LatentTree:
     edges = [("1", "4"), ("2", "4"), ("4", "5"), ("3", "5")]
     return LatentTree(edges, ["1", "2", "3", "5"])
+
+
+def mixed_tree(hubs: int, leaves: int) -> LatentTree:
+    edges, observed = [], []
+    for h in range(1, hubs + 1):
+        for j in range(1, leaves + 1):
+            edges.append((f"h{h}", f"l{h}_{j}"))
+            observed.append(f"l{h}_{j}")
+        if h < hubs:
+            edges += [(f"h{h}", f"c{h}"), (f"c{h}", f"h{h + 1}")]
+            observed.append(f"c{h}")
+    return LatentTree(edges, observed)
 
 
 def _edges_from_sequence(seq, n):
@@ -172,3 +191,20 @@ def reference_listing(system):
         kind = KINDS[code]
         variables = tuple(sorted({v for v in row if v >= 0}))
         yield kind, variables, REFERENCE_POLYNOMIALS[kind](*row)
+
+
+def product_columns(x, quads, triples, rows):
+    """Difference columns of the (a, b, c, d) rows ``quads``, then the
+    negated monomial columns of the (p, q, r) rows ``triples``, on the
+    first ``rows`` estimates of the data ``x``, gathered from C-ordered
+    rows with one product expression each."""
+    x = np.ascontiguousarray(x)
+    a, b, c, d = np.asarray(quads, dtype=np.intp).reshape(-1, 4).T
+    u, v = x[:rows], x[1 : rows + 1]
+    eq = u[:, a] * u[:, b] * v[:, c] * v[:, d] - u[:, a] * u[:, d] * v[:, c] * v[:, b]
+    if len(triples) == 0:
+        return eq
+    p, q, r = np.asarray(triples, dtype=np.intp).T
+    w0, w1, w2 = x[:rows], x[1 : rows + 1], x[2 : rows + 2]
+    mono = w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
+    return np.hstack([eq, -mono])

@@ -5,7 +5,8 @@ covers constraint counting, the algebraic oracle pair, estimator
 unbiasedness, bootstrap normalization, empirical size at desk scale,
 behaviour near singular parameters, the quadratic-form comparison, and
 byte-level determinism of the command-line outputs.  A larger size
-study and an m=50 peak-memory check run only when TREEGOF_SLOW=1 is set.
+study, an m=50 peak-memory check of ``test`` and an m=80 one of the
+constraint enumeration run only when TREEGOF_SLOW=1 is set.
 """
 
 from __future__ import annotations
@@ -225,6 +226,31 @@ def test_m50_star_peak_rss_below_200mb(tmp_path, capsys):
     assert json.loads(proc.stdout)["k_effective"] == 460_600
     peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 200.0, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TREEGOF_SLOW"),
+    reason="large memory study; set TREEGOF_SLOW=1 to run",
+)
+def test_m80_star_enumeration_peak_rss_below_400mb():
+    # 3,491,800 terms, whose kinds and index take 115 MB; classifying
+    # every quadruple at once and sorting them in one pass peaked at
+    # 661 MB, one first variable at a time near 250 MB
+    child = (
+        "import resource\n"
+        "from treegof.tree import LatentTree, enumerate_constraints\n"
+        "leaves = [f'x{i}' for i in range(1, 81)]\n"
+        "system = enumerate_constraints(LatentTree([('h', v) for v in leaves], leaves))\n"
+        "print(len(system.kinds), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    terms, peak_kb = map(int, proc.stdout.split())
+    assert terms == 3_491_800
+    assert peak_kb / 1024 < 400.0, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 
 def test_a6_size_near_singular_parameters():

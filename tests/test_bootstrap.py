@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 import treegof.bootstrap as btmod
-from conftest import random_latent_tree, star_tree
+from conftest import product_columns, random_latent_tree, star_tree
 from treegof.bootstrap import (
     BootstrapConfig,
     HotellingResult,
@@ -35,7 +35,7 @@ from treegof.bootstrap import (
     statistic_and_draws,
 )
 from treegof.bootstrap import test_statistic as sup_statistic
-from treegof.estimators import EstimateSequence, build_estimate_matrix
+from treegof.estimators import EstimateSequence, build_estimate_matrix, column_source
 from treegof.model import covariance_from_factor, sample, setup_params
 from treegof.tree import enumerate_constraints
 
@@ -270,6 +270,21 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
     stat, draws = statistic_and_draws(data, system, config)
     if case is _constant_column_case:
         assert base.diag_floor_hits == 20 and base.k_effective == 10
+    # the chunks built in the fold's buffers reduce exactly like the
+    # plain product expressions of the same columns
+    mult_ss, sub_ss = btmod._seed_sequence(config.seed).spawn(2)
+    sub = None if config.subsample is None else (config.subsample, sub_ss)
+    source = column_source(data, system, config.mode, sub)
+    x = np.asarray(getattr(data, "data", data))
+    plain = EstimateSequence(
+        product_columns(x - x.mean(axis=0), source.quads, source.triples, rows),
+        source.one_sided,
+    )
+    assert sup_statistic(plain, config.batch_size) == stat
+    np.testing.assert_array_equal(
+        multiplier_draws(plain, config.batch_size, config.num_multipliers, mult_ss),
+        draws,
+    )
     # switch threads often, so that blocks finish out of order
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -576,9 +591,9 @@ def test_run_test_memory_below_estimate_matrix(monkeypatch):
 def test_run_test_memory_below_batch_sum_store(monkeypatch):
     # m=20 star in 256-column groups, 38 of them: one group's batch sums
     # take 0.3 MB of the 12.9 MB omega x k store.  The rest of the peak
-    # (about 3.8 MiB on one thread and 5.6 MiB on two) is the 1.3 MB of
-    # multipliers kept for every group, and the column chunks and
-    # coordinate tiles in flight.
+    # (about 3.7 MiB on one thread and 5.4 MiB on two) is the 1.3 MB of
+    # multipliers kept for every group, one 1.5 MiB column workspace per
+    # thread, and the coordinate tiles in flight.
     system = enumerate_constraints(star_tree(20))
     data = sample(covariance_from_factor(setup_params(1, 20, seed=0)), 500, seed=1)
     omega = 499 // 3

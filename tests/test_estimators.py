@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_latent_tree, star_tree
+import treegof.bootstrap as btmod
+from conftest import product_columns, random_latent_tree, star_tree
 from treegof.bootstrap import BootstrapConfig, run_test
 from treegof.estimators import (
     EstimateSequence,
     build_estimate_matrix,
+    column_source,
     plugin_tetrads,
 )
 from treegof.model import covariance_from_factor, sample, setup_params
@@ -278,15 +281,8 @@ def _row_major_columns(x, system, mode, center):
     if center:
         x = x - x.mean(axis=0)
     rows = len(x) - (2 if mode == "all" else 1)
-    a, b, c, d = system.equality_column_pairs().T
-    u, v = x[:rows], x[1 : rows + 1]
-    eq = u[:, a] * u[:, b] * v[:, c] * v[:, d] - u[:, a] * u[:, d] * v[:, c] * v[:, b]
-    if mode == "equalities":
-        return eq
-    p, q, r = system.sign_triples().T
-    w0, w1, w2 = x[:-2], x[1:-1], x[2:]
-    mono = w0[:, p] * w0[:, q] * w1[:, p] * w1[:, r] * w2[:, q] * w2[:, r]
-    return np.hstack([eq, -mono])
+    triples = system.sign_triples() if mode == "all" else ()
+    return product_columns(x, system.equality_column_pairs(), triples, rows)
 
 
 def _outcome(fn):
@@ -317,3 +313,53 @@ def test_column_major_build_matches_row_major_arithmetic(seed, mode, center):
     by_rows = _outcome(lambda: run_test(x, system, config))
     by_columns = _outcome(lambda: run_test(np.asfortranarray(x), system, config))
     assert by_rows == by_columns
+
+
+def _same_folds(got, expected):
+    for fold, ref in zip(got, expected, strict=True):
+        assert fold.statistic == ref.statistic
+        for name in ("diag", "sums", "scale", "one_sided"):
+            assert np.array_equal(getattr(fold, name), getattr(ref, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["equalities", "all"]),
+    st.sampled_from([None, 1, 5]),
+    st.booleans(),
+)
+def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
+    # the fold builds every chunk in a workspace that earlier, and wider,
+    # chunks used.  Rows below the block budget give chunks of many
+    # columns; rows above it (``narrow``) one-column chunks, as in a
+    # tall dataset.  Chunks and folds at one and two threads must match
+    # the plain product expressions bit for bit.
+    rng = np.random.default_rng(seed)
+    system = enumerate_constraints(random_latent_tree(rng, m_lo=4, m_hi=7))
+    n = int(rng.integers(8, 60))
+    x = rng.standard_normal((n, system.m)) * rng.uniform(0.1, 10.0, system.m)
+    if subsample is not None:
+        columns = system.n_equality_terms + (
+            len(system.sign_triples()) if mode == "all" else 0
+        )
+        subsample = (min(subsample, columns), seed)
+    source = column_source(x, system, mode, subsample)
+    centered = x - x.mean(axis=0)
+    expected = product_columns(centered, source.quads, source.triples, source.rows)
+    budget = source.rows - 1 if narrow else btmod._BLOCK_BUDGET
+    with mock.patch.object(btmod, "_BLOCK_BUDGET", budget):
+        slices = btmod._column_slices(source.rows, slice(0, source.n_columns))
+        assert len(slices) == (source.n_columns if narrow else 1)
+        work = source.workspace(slices[0].stop - slices[0].start)
+        for cols in slices[::-1] + slices:
+            assert np.array_equal(source.block(cols, work), expected[:, cols])
+
+        plain = EstimateSequence(expected, source.one_sided)
+        for jobs in (1, 2):
+            with btmod._ordered_map(jobs) as imap:
+                got = btmod._folds(
+                    source.block, source.workspace, source.rows, source.one_sided,
+                    3, imap, jobs,
+                )
+                _same_folds(got, btmod._seq_folds(plain, 3))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -228,18 +229,39 @@ def test_point_checks_match_reference_loops():
 
 
 def test_is_t_induced_classifies_once(monkeypatch):
-    calls = []
-    classify = treegof.metric._classify
+    # one pass of the block generator, which classifies each first
+    # variable's triples and quadruples once
+    calls, yielded = [], []
+    blocks = treegof.metric._classification_blocks
 
     def counting(tree):
         calls.append(tree)
-        return classify(tree)
+        for block in blocks(tree):
+            yielded.append(block)
+            yield block
 
-    monkeypatch.setattr(treegof.metric, "_classify", counting)
+    monkeypatch.setattr(treegof.metric, "_classification_blocks", counting)
     t = caterpillar()
     delta = induced_metric(t, unit_weights(t))
     assert is_t_induced(delta, t).is_induced
     assert calls == [t]
+    assert len(yielded) == t.m - 2
+
+
+def test_is_t_induced_memory_bounded_by_one_block():
+    # a 40-leaf star has 91,390 quadruples and 274,170 edge-disjoint
+    # pairings; checking them all at once peaked near 48 MiB, one first
+    # variable's quadruples at a time a few MiB
+    t = star_tree(40)
+    delta = induced_metric(t, random_weights(t, np.random.default_rng(40)))
+    tracemalloc.start()
+    try:
+        report = is_t_induced(delta, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_induced
+    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_shape_mismatch_refused():

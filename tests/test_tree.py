@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     _path,
     caterpillar,
     inner_node_tree,
+    mixed_tree,
     observed_chain,
     random_latent_tree,
     reference_classes,
@@ -23,9 +25,18 @@ from conftest import (
     star_tree,
 )
 from treegof.tree import (
+    _PAIRINGS,
+    CHAIN,
     KINDS,
+    SIGN,
+    SPLIT,
+    SPLIT_BOUND,
+    TETRAD,
+    TRIANGLE,
     LatentTree,
     TreeError,
+    _combinations,
+    _pairing_sums,
     _path_fold,
     enumerate_constraints,
     parse_tree,
@@ -283,6 +294,97 @@ def test_enumerate_needs_three_observed():
     t = LatentTree([("a", "b")], ["a", "b"])
     with pytest.raises(TreeError, match="at least 3"):
         enumerate_constraints(t)
+
+
+def _whole_array_system(tree):
+    """(kinds, index) of the constraint system from one classification of
+    every triple and quadruple at once and one global sort: the
+    reference for the block-wise enumeration."""
+    hops = _path_fold(tree, dict.fromkeys(tree.edges, 1), operator.add, 0)
+    tri = _combinations(tree.m, 3)
+    p, q, r = tri.T
+    is_mid = np.stack(
+        [
+            hops[q, p] + hops[p, r] == hops[q, r],
+            hops[p, q] + hops[q, r] == hops[p, r],
+            hops[p, r] + hops[r, q] == hops[p, q],
+        ],
+        axis=1,
+    )
+    chain = is_mid.any(axis=1)
+    order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
+    chains = np.take_along_axis(tri, order, axis=1)[chain]
+    stars = tri[~chain]
+    quads = _combinations(tree.m, 4)
+    sums = _pairing_sums(hops, quads)
+    lowest = sums == sums.min(axis=1, keepdims=True)
+    pairing = np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
+
+    chain_key = np.c_[np.sort(chains, axis=1), np.full(len(chains), -1)]
+    star_key = np.c_[stars, np.full(len(stars), -1)]
+    split, degenerate = quads[pairing >= 0], quads[pairing < 0]
+    a, b, c, d = np.take_along_axis(split, _PAIRINGS[pairing[pairing >= 0]], axis=1).T
+    p, q, r = stars.T
+    w, x, y, z = degenerate.T
+    families = [
+        (CHAIN, 0, chains[:, [0, 1, 1, 2]], chain_key),
+        (SIGN, 0, chain_key, chain_key),
+        (SIGN, 0, star_key, star_key),
+        (SPLIT, 0, np.c_[a, c, b, d], split),
+        (SPLIT_BOUND, 0, np.c_[a, c, d, b], split),
+        (TRIANGLE, 0, np.c_[p, q, q, r], star_key),
+        (TRIANGLE, 1, np.c_[p, r, r, q], star_key),
+        (TRIANGLE, 2, np.c_[q, p, p, r], star_key),
+        (TETRAD, 0, np.c_[w, z, x, y], degenerate),
+        (TETRAD, 1, np.c_[w, x, z, y], degenerate),
+    ]
+    kinds = np.concatenate([np.full(len(f[3]), f[0], dtype=np.int8) for f in families])
+    subs = np.concatenate([np.full(len(f[3]), f[1]) for f in families])
+    index = np.concatenate([f[2] for f in families])
+    keys = np.concatenate([f[3] for f in families])
+    order = np.lexsort((subs, kinds, *keys.T[::-1], kinds >= SIGN))
+    return kinds[order], index[order]
+
+
+def _assert_matches_whole_array(tree):
+    system = enumerate_constraints(tree)
+    kinds, index = _whole_array_system(tree)
+    assert system.kinds.dtype == kinds.dtype and system.index.dtype == index.dtype
+    assert system.kinds.tobytes() == kinds.tobytes()
+    assert system.index.shape == index.shape
+    assert system.index.tobytes() == index.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_block_enumeration_matches_whole_array_random_trees(seed):
+    _assert_matches_whole_array(
+        random_latent_tree(np.random.default_rng(seed), m_lo=3, m_hi=12, n_hi=20)
+    )
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [star_tree(m) for m in range(3, 31)] + [caterpillar(), mixed_tree(7, 4)],
+    ids=[f"star{m}" for m in range(3, 31)] + ["caterpillar", "mixed"],
+)
+def test_block_enumeration_matches_whole_array(tree):
+    _assert_matches_whole_array(tree)
+
+
+def test_enumeration_peaks_below_two_and_a_half_systems():
+    # a 40-leaf star: 222,300 terms, 7.0 MiB of kinds and index.  The
+    # blocks of one first variable hold at most a tenth of them, so the
+    # peak is the finished pieces and the system they are joined into
+    tree = star_tree(40)
+    tracemalloc.start()
+    try:
+        system = enumerate_constraints(tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = system.kinds.nbytes + system.index.nbytes
+    assert peak <= 2.5 * size, f"peak {peak / size:.2f} times the system"
 
 
 def test_chain_equality_residual_and_sign_value():
