@@ -15,6 +15,7 @@ is held as integer arrays, one row per scalar term.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -191,8 +192,44 @@ _PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
 
 def _pairing_sums(d: np.ndarray, quads: np.ndarray) -> np.ndarray:
     """d_ab + d_cd for the three pairings ab|cd of every quadruple row."""
-    q = quads[:, _PAIRINGS]
-    return d[q[..., 0], q[..., 1]] + d[q[..., 2], q[..., 3]]
+    # one pairing at a time, not all twelve ids of a row gathered at once
+    return np.stack(
+        [d[quads[:, a], quads[:, b]] + d[quads[:, c], quads[:, e]]
+         for a, b, c, e in _PAIRINGS],
+        axis=1,
+    )
+
+
+def _hop_matrix(tree: LatentTree) -> np.ndarray:
+    """Observed hop distances: the path lengths with unit edge weights."""
+    return _path_fold(tree, dict.fromkeys(tree.edges, 1), operator.add, 0)
+
+
+def _triple_classes(hops: np.ndarray, first: int):
+    """(chains, stars) of the block of ``first``; see
+    ``_classification_blocks``."""
+    tri = _starting_with(first, len(hops), 3)
+    p, q, r = tri.T
+    is_mid = np.stack(
+        [
+            hops[q, p] + hops[p, r] == hops[q, r],
+            hops[p, q] + hops[q, r] == hops[p, r],
+            hops[p, r] + hops[r, q] == hops[p, q],
+        ],
+        axis=1,
+    )
+    chain = is_mid.any(axis=1)
+    order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
+    return np.take_along_axis(tri, order, axis=1)[chain], tri[~chain]
+
+
+def _quad_classes(hops: np.ndarray, first: int):
+    """(quads, pairing) of the block of ``first``; see
+    ``_classification_blocks``."""
+    quads = _starting_with(first, len(hops), 4)
+    sums = _pairing_sums(hops, quads)
+    lowest = sums == sums.min(axis=1, keepdims=True)
+    return quads, np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
 
 
 def _classification_blocks(tree: LatentTree):
@@ -218,34 +255,19 @@ def _classification_blocks(tree: LatentTree):
     rows, so a caller that reduces it before taking the next never
     holds the O(m^4) classification of every quadruple.
     """
-    m = tree.m
-    hops = _path_fold(tree, dict.fromkeys(tree.edges, 1), operator.add, 0)
-    for first in range(m - 2):
-        tri = _starting_with(first, m, 3)
-        p, q, r = tri.T
-        is_mid = np.stack(
-            [
-                hops[q, p] + hops[p, r] == hops[q, r],
-                hops[p, q] + hops[q, r] == hops[p, r],
-                hops[p, r] + hops[r, q] == hops[p, q],
-            ],
-            axis=1,
-        )
-        chain = is_mid.any(axis=1)
-        order = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])[is_mid.argmax(axis=1)]
-        chains = np.take_along_axis(tri, order, axis=1)[chain]
-        quads = _starting_with(first, m, 4)
-        sums = _pairing_sums(hops, quads)
-        lowest = sums == sums.min(axis=1, keepdims=True)
-        pairing = np.where(lowest.sum(axis=1) == 1, lowest.argmax(axis=1), -1)
-        yield chains, tri[~chain], quads, pairing
+    hops = _hop_matrix(tree)
+    for first in range(tree.m - 2):
+        yield (*_triple_classes(hops, first), *_quad_classes(hops, first))
 
 
 # kind codes: equalities first, each side in listing rank
 KINDS = ("chain", "split", "tetrad", "sign", "triangle-bound", "split-bound")
 CHAIN, SPLIT, TETRAD, SIGN, TRIANGLE, SPLIT_BOUND = range(len(KINDS))
 
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 2048
+
+# variable indices are stored as int16
+_MAX_VARIABLES = np.iinfo(np.int16).max
 
 
 def _sym(i: int, j: int) -> str:
@@ -293,6 +315,11 @@ class ConstraintSystem:
     Equalities come first; each side is ordered by the term's sorted
     variable tuple, then by kind, then by pivot (the middle, last and
     first variable of a star triple) or tetrad order.
+
+    ``kinds`` is an int8 (T,) array and ``index`` an int16 (T, 4) array,
+    9 bytes per term, so m is at most 32,767.  The indices only select
+    and compare variables; no code does arithmetic on them, which int16
+    could overflow.
     """
 
     m: int
@@ -343,7 +370,8 @@ class ConstraintSystem:
         sym = np.array([[_sym(i, j) for j in range(self.m)] for i in range(self.m)])
         for start in range(0, len(self.kinds), _ROW_BLOCK):
             kinds = self.kinds[start : start + _ROW_BLOCK]
-            index = self.index[start : start + _ROW_BLOCK]
+            # numpy gathers with intp indices faster than with int16 ones
+            index = self.index[start : start + _ROW_BLOCK].astype(np.intp)
             variables = np.sort(index, axis=1)
             # a three-variable term repeats a variable or pads with -1:
             # move that slot last and cut it off
@@ -374,33 +402,55 @@ def enumerate_constraints(tree: LatentTree) -> ConstraintSystem:
     Raises
     ------
     TreeError
-        If fewer than three observed variables.
+        If fewer than three or more than 32,767 observed variables.
     """
-    if tree.m < 3:
+    m = tree.m
+    if m < 3:
         raise TreeError("constraint enumeration needs at least 3 observed nodes")
+    if m > _MAX_VARIABLES:
+        raise TreeError(
+            f"constraint enumeration supports at most {_MAX_VARIABLES} observed "
+            f"nodes (int16 variable indices), got {m}"
+        )
+    hops = _hop_matrix(tree)
+    triples = [_triple_classes(hops, first) for first in range(m - 2)]
+    # a chain triple gives a chain and a sign term, a star triple a sign
+    # and three bound terms, a quadruple two terms
+    n_stars = sum(len(stars) for _, stars in triples)
+    total = 2 * (math.comb(m, 4) + math.comb(m, 3) + n_stars)
+    kinds = np.empty(total, dtype=np.int8)
+    index = np.empty((total, 4), dtype=np.int16)
     # every block's equality terms, then every block's inequality terms:
     # each side is ordered by the sorted variable tuple first, and a
-    # block's terms share the smallest variable
-    equalities, inequalities = [], []
-    for block in _classification_blocks(tree):
-        kinds, index = _block_terms(*block)
-        n_eq = np.count_nonzero(kinds < SIGN)
-        equalities.append((kinds[:n_eq], index[:n_eq]))
-        inequalities.append((kinds[n_eq:], index[n_eq:]))
-    pieces = equalities + inequalities
-    return ConstraintSystem(
-        tree.m,
-        np.concatenate([kinds for kinds, _ in pieces]),
-        np.concatenate([index for _, index in pieces]),
-    )
+    # block's terms share the smallest variable.  The equality terms go
+    # straight into the system; the inequality terms wait in compact
+    # copies until every equality term is in.
+    at = 0
+    inequalities = []
+    for first, (chains, stars) in enumerate(triples):
+        block_kinds, block_index = _block_terms(chains, stars, *_quad_classes(hops, first))
+        n_eq = np.count_nonzero(block_kinds < SIGN)
+        kinds[at : at + n_eq] = block_kinds[:n_eq]
+        index[at : at + n_eq] = block_index[:n_eq]
+        at += n_eq
+        inequalities.append((block_kinds[n_eq:].copy(), block_index[n_eq:].copy()))
+    for block_kinds, block_index in inequalities:
+        kinds[at : at + len(block_kinds)] = block_kinds
+        index[at : at + len(block_kinds)] = block_index
+        at += len(block_kinds)
+    return ConstraintSystem(m, kinds, index)
 
 
 def _block_terms(chains, stars, quads, pairing):
-    """The terms of one classification block (``_classification_blocks``),
-    in canonical order: its equalities, then its inequalities."""
+    """The terms of one block of triples and quadruples with a common
+    smallest variable (``_triple_classes``, ``_quad_classes``), in
+    canonical order: its equalities, then its inequalities.  The sort
+    keys are intp, the index rows int16."""
     # sort keys of three-variable terms: the sorted triple, then -1
     chain_key = _padded(np.sort(chains, axis=1))
     star_key = _padded(stars)
+    # gather the index rows from int16 copies, a quarter the bytes of intp
+    chains, stars, quads = (a.astype(np.int16) for a in (chains, stars, quads))
     split, degenerate = quads[pairing >= 0], quads[pairing < 0]
     # rows (a, b, c, d) for the blocks ab|cd of each split, min-first
     blocks = np.take_along_axis(split, _PAIRINGS[pairing[pairing >= 0]], axis=1)
@@ -420,8 +470,8 @@ def _block_terms(chains, stars, quads, pairing):
     sizes = [len(f[3]) for f in families]
     kinds = np.repeat(np.array([f[0] for f in families], dtype=np.int8), sizes)
     subs = np.repeat([f[1] for f in families], sizes)
-    index = np.concatenate([f[2] for f in families])
-    keys = np.concatenate([f[3] for f in families])
+    index = np.concatenate([f[2] for f in families], dtype=np.int16)
+    keys = np.concatenate([f[3] for f in families], dtype=np.intp)
     order = np.lexsort((subs, kinds, *keys.T[::-1], kinds >= SIGN))
     return kinds[order], index[order]
 

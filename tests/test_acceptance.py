@@ -5,7 +5,7 @@ covers constraint counting, the algebraic oracle pair, estimator
 unbiasedness, bootstrap normalization, empirical size at desk scale,
 behaviour near singular parameters, the quadratic-form comparison, and
 byte-level determinism of the command-line outputs.  A larger size
-study, an m=50 peak-memory check of ``test`` and an m=80 one of the
+study, an m=50 peak-memory check of ``test`` and two m=80 ones of the
 constraint enumeration run only when TREEGOF_SLOW=1 is set.
 """
 
@@ -233,9 +233,30 @@ def test_m50_star_peak_rss_below_200mb(tmp_path, capsys):
     reason="large memory study; set TREEGOF_SLOW=1 to run",
 )
 def test_m80_star_enumeration_peak_rss_below_400mb():
-    # 3,491,800 terms, whose kinds and index take 115 MB; classifying
+    # 3,491,800 terms, 115 MB with an int64 index; classifying
     # every quadruple at once and sorting them in one pass peaked at
     # 661 MB, one first variable at a time near 250 MB
+    terms, peak_mb = _star80_enumeration()
+    assert terms == 3_491_800
+    assert peak_mb < 400.0, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TREEGOF_SLOW"),
+    reason="large memory study; set TREEGOF_SLOW=1 to run",
+)
+def test_star80_enumeration_peak_rss_below_150mb():
+    # the int16 index takes 31 MB; joining every block's terms at the
+    # end peaked near 250 MB, writing the equality terms in place and
+    # holding only the inequality terms near 75 MB
+    terms, peak_mb = _star80_enumeration()
+    assert terms == 3_491_800
+    assert peak_mb < 150.0, f"peak RSS {peak_mb:.0f} MB"
+
+
+def _star80_enumeration():
+    """Term count and peak RSS in MB of a child that only enumerates the
+    constraints of an 80-leaf star."""
     child = (
         "import resource\n"
         "from treegof.tree import LatentTree, enumerate_constraints\n"
@@ -249,8 +270,7 @@ def test_m80_star_enumeration_peak_rss_below_400mb():
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
     terms, peak_kb = map(int, proc.stdout.split())
-    assert terms == 3_491_800
-    assert peak_kb / 1024 < 400.0, f"peak RSS {peak_kb / 1024:.0f} MB"
+    return terms, peak_kb / 1024
 
 
 def test_a6_size_near_singular_parameters():

@@ -35,9 +35,14 @@ from treegof.bootstrap import (
     statistic_and_draws,
 )
 from treegof.bootstrap import test_statistic as sup_statistic
-from treegof.estimators import EstimateSequence, build_estimate_matrix, column_source
+from treegof.estimators import (
+    EstimateSequence,
+    build_estimate_matrix,
+    column_source,
+    plugin_tetrads,
+)
 from treegof.model import covariance_from_factor, sample, setup_params
-from treegof.tree import enumerate_constraints
+from treegof.tree import ConstraintSystem, enumerate_constraints
 
 
 def _seq(values, one_sided=None):
@@ -317,6 +322,57 @@ def test_results_invariant_to_sign_flips(seed, mode):
     for jobs in (1, 2):
         with mock.patch.object(btmod, "_usable_cores", lambda: jobs):
             assert run_test(x * flips, system, config) == run_test(x, system, config)
+
+
+def _bits(value):
+    """A result in a form that compares equal only bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, EstimateSequence):
+        return _bits(value.values), _bits(value.one_sided)
+    return repr(value)
+
+
+def _outcome(call, system):
+    try:
+        return _bits(call(system))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_results_do_not_depend_on_the_index_dtype(seed):
+    # the variable indices are only gathered and compared, never used in
+    # arithmetic, so the int16 index and an intp copy give the same bits
+    rng = np.random.default_rng(seed)
+    compact = enumerate_constraints(random_latent_tree(rng, m_lo=3, m_hi=12, n_hi=20))
+    assert compact.index.dtype == np.int16
+    wide = ConstraintSystem(compact.m, compact.kinds, compact.index.astype(np.intp))
+    n = int(rng.integers(150, 250))
+    x = rng.standard_normal((n, compact.m)) * rng.uniform(0.5, 2.0, compact.m)
+    cov = np.cov(x, rowvar=False)
+    columns = compact.n_equality_terms + len(compact.sign_triples())
+    sub = (int(rng.integers(1, columns + 1)), seed)
+    config = BootstrapConfig(num_multipliers=200, seed=seed, mode="all")
+    calls = [
+        lambda s: s.equality_residuals(cov),
+        lambda s: s.inequality_values(cov),
+        lambda s: build_estimate_matrix(x, s),
+        lambda s: build_estimate_matrix(x, s, mode="all"),
+        lambda s: build_estimate_matrix(x, s, mode="all", subsample=sub),
+        lambda s: plugin_tetrads(x, s),
+        lambda s: list(s.scalar_rows()),
+    ]
+    if compact.m <= 8:
+        calls.append(lambda s: hotelling_statistic(x, s))
+    for call in calls:
+        assert _outcome(call, compact) == _outcome(call, wide)
+    for jobs in (1, 2):
+        with mock.patch.object(btmod, "_usable_cores", lambda: jobs):
+            assert _outcome(lambda s: run_test(x, s, config), compact) == _outcome(
+                lambda s: run_test(x, s, config), wide
+            )
 
 
 # column groups of one 4-column tile, of two tiles, and of every column

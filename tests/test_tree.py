@@ -24,6 +24,7 @@ from conftest import (
     reference_listing,
     star_tree,
 )
+import treegof.tree as treemod
 from treegof.tree import (
     _PAIRINGS,
     CHAIN,
@@ -296,6 +297,17 @@ def test_enumerate_needs_three_observed():
         enumerate_constraints(t)
 
 
+def test_enumerate_refuses_more_variables_than_int16_holds(monkeypatch):
+    # the index is int16, so the limit is 32767 variables; the check
+    # comes before the O(m^2) hop matrix, which would take 8 GiB here
+    def no_classification(tree):
+        raise AssertionError("classified before the size check")
+
+    monkeypatch.setattr(treemod, "_hop_matrix", no_classification)
+    with pytest.raises(TreeError, match="at most 32767 observed nodes"):
+        enumerate_constraints(star_tree(32768))
+
+
 def _whole_array_system(tree):
     """(kinds, index) of the constraint system from one classification of
     every triple and quadruple at once and one global sort: the
@@ -349,10 +361,13 @@ def _whole_array_system(tree):
 def _assert_matches_whole_array(tree):
     system = enumerate_constraints(tree)
     kinds, index = _whole_array_system(tree)
-    assert system.kinds.dtype == kinds.dtype and system.index.dtype == index.dtype
+    # the reference sorts intp rows; the system stores them as int16
+    compact = index.astype(np.int16)
+    assert np.array_equal(compact.astype(index.dtype), index)
+    assert system.kinds.dtype == kinds.dtype and system.index.dtype == np.int16
     assert system.kinds.tobytes() == kinds.tobytes()
     assert system.index.shape == index.shape
-    assert system.index.tobytes() == index.tobytes()
+    assert system.index.tobytes() == compact.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,9 +388,10 @@ def test_block_enumeration_matches_whole_array(tree):
 
 
 def test_enumeration_peaks_below_two_and_a_half_systems():
-    # a 40-leaf star: 222,300 terms, 7.0 MiB of kinds and index.  The
-    # blocks of one first variable hold at most a tenth of them, so the
-    # peak is the finished pieces and the system they are joined into
+    # a 40-leaf star: 222,300 terms, 1.9 MiB of kinds and int16 index.
+    # The blocks of one first variable hold at most a tenth of them, so
+    # the peak is the system, the held inequality terms and the first
+    # block's sort
     tree = star_tree(40)
     tracemalloc.start()
     try:
