@@ -17,7 +17,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Optional, Union
 
 import numpy as np
@@ -68,14 +67,6 @@ _SUMS_BUDGET = 1 << 20
 # so a group of 4,096 columns or more spends at most 8% of its matmul
 # time on the replay
 _MIN_GROUP = 16 * _TILE_SIDE
-
-# blocks in flight per thread.  Results are consumed in order, so with
-# one per thread a thread that finishes early waits for the calling
-# thread to hand it the next block, and a stalled core stalls the pass
-# (wide-star's run_test on a 2-vCPU VM beside a busy process: 1.46 and
-# 1.49 s at one block per thread, 1.37 and 1.40 s at two, 1.30 and
-# 1.34 s at four; four gains little and holds more finished blocks).
-_BLOCKS_PER_THREAD = 2
 
 
 @dataclass(frozen=True)
@@ -153,9 +144,9 @@ def _usable_cores() -> int:
 @contextmanager
 def _ordered_map(jobs: int):
     """An ``imap(fn, items)`` that runs ``fn`` on ``jobs`` threads and
-    yields the results in item order, with at most
-    ``_BLOCKS_PER_THREAD`` items per thread in flight; the first items
-    are submitted when ``imap`` is called.  Inline when ``jobs`` is 1.
+    yields the results in item order: builtin ``map`` when ``jobs`` is
+    1, else a thread pool's ``map``, which submits every item at once
+    (every result is small, so finished items cost little).
 
     numpy releases the GIL in the column build and in BLAS, and every
     result combines by position or by ``max``, so the outputs do not
@@ -168,22 +159,8 @@ def _ordered_map(jobs: int):
     # imported here: it pulls in logging, which ``import treegof`` skips
     from concurrent.futures import ThreadPoolExecutor
 
-    depth = _BLOCKS_PER_THREAD * jobs
     with ThreadPoolExecutor(jobs) as pool:
-
-        def imap(fn, items):
-            items = iter(items)
-            pending = deque(pool.submit(fn, item) for item in islice(items, depth))
-
-            def results():
-                while pending:
-                    result = pending.popleft().result()
-                    pending.extend(pool.submit(fn, item) for item in islice(items, 1))
-                    yield result
-
-            return results()
-
-        yield imap
+        yield pool.map
 
 
 def _column_groups(omega: int, n_columns: int):
@@ -213,14 +190,13 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     """Column means, batch sums of deviations and variance proxies of
     one chunk, whose batched rows are overwritten with the deviations.
 
-    The chunk is reduced in column-major layout, which the column
-    builder already produces: numpy then sums each column as one
+    The chunk is column-major, as every source's ``block`` returns
+    it: numpy then sums each column as one
     contiguous vector (pairwise), so no result depends on how the
     columns are chunked.  Row-major blocks are summed row by row
     instead, and a lone column pairwise, which would tie the low bits
     to the chunk width.
     """
-    values = np.asfortranarray(values)
     ybar = values.mean(axis=0)
     batched = values[: omega * batch_size]
     batched -= ybar
@@ -235,48 +211,48 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
 
 
-def _fold_chunk(block, spare, rows, one_sided, batch_size, cols):
-    """Reduce the columns ``cols``: their variance proxies and, for the
-    kept (non-degenerate) ones, batch sums, scales, sidedness and the
-    largest studentized mean (-inf when none is kept).
+def _fold_chunk(source, spare, batch_size, store, group, cols):
+    """Reduce the columns ``cols`` of ``group``: write the batch sums of
+    the kept (non-degenerate) ones to the front of the chunk's own
+    columns of ``store``, and return every column's variance proxy and
+    the kept columns' scales, sidedness and largest studentized mean
+    (-inf when none is kept).
 
     The columns are built in a workspace taken from ``spare``, which
     gets it back when the chunk is reduced."""
-    omega = rows // batch_size
+    omega = store.shape[0]
     work = spare.pop()
     try:
-        ybar, sums, d = _moments(block(cols, work), omega, batch_size)
+        ybar, sums, d = _moments(source.block(cols, work), omega, batch_size)
     finally:
         spare.append(work)
     keep = d > DIAG_FLOOR
-    z = math.sqrt(rows) * ybar[keep] / np.sqrt(d[keep])
+    z = math.sqrt(source.n_rows) * ybar[keep] / np.sqrt(d[keep])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
         raise ValueError(
             "variance proxies or studentized means overflow; rescale the data"
         )
-    sided = one_sided[cols][keep]
+    sided = source.one_sided[cols][keep]
     peak = float(np.where(sided, z, np.abs(z)).max()) if z.size else -math.inf
+    lo = cols.start - group.start
+    store[:, lo : lo + len(sided)] = sums[:, keep]
     scale = math.sqrt(batch_size * omega) * np.sqrt(d[keep])
-    return d, sums[:, keep], scale, sided, peak
+    return d, scale, sided, peak
 
 
-def _fold(
-    block, workspace, rows: int, one_sided: np.ndarray, batch_size: int,
-    group: slice, store: np.ndarray, imap, jobs: int,
-) -> _Fold:
-    """One pass over the estimate columns of ``group``, chunk by chunk in
-    canonical order; ``block(cols, work)`` returns the rows x len(cols)
-    values of the columns in the slice ``cols``, built in ``work`` from
-    ``workspace(width)``, and the fold overwrites them; ``imap`` runs
-    at most ``jobs`` chunks at a time.
+def _fold(source, batch_size: int, group: slice, store: np.ndarray, imap, jobs: int):
+    """One pass over the estimate columns of ``group`` of ``source``,
+    chunk by chunk in canonical order; ``imap`` runs at most ``jobs``
+    chunks at a time.
 
     Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
     (the diagonal of the batched covariance estimator) and the
     studentized means.  Rows beyond the largest multiple of the batch
-    size are not batched (the means still use every row).  The kept
-    columns' batch sums are stored in chunk order at the front of
-    ``store``.
+    size are not batched (the means still use every row).  Each chunk
+    writes its kept columns' batch sums into its own columns of
+    ``store``; the fold moves them left past the columns dropped before
+    them, so the kept sums end up at the front of ``store``.
 
     The fold allocates one workspace for the widest chunk per chunk in
     flight, on the calling thread, and frees them when it returns, so
@@ -288,54 +264,45 @@ def _fold(
     kept_sided = np.empty(width, dtype=bool)
     statistic = -math.inf
     kept = 0
-    slices = _column_slices(rows, group)
+    slices = _column_slices(source.n_rows, group)
     widest = slices[0].stop - slices[0].start if slices else 0
-    spare = deque(workspace(widest) for _ in range(min(jobs, len(slices))))
-    work = partial(_fold_chunk, block, spare, rows, one_sided, batch_size)
-    for cols, (d, chunk_sums, chunk_scale, sided, peak) in zip(
-        slices, imap(work, slices)
-    ):
-        diag[cols.start - group.start : cols.stop - group.start] = d
+    spare = deque(source.workspace(widest) for _ in range(min(jobs, len(slices))))
+    work = partial(_fold_chunk, source, spare, batch_size, store, group)
+    for cols, (d, chunk_scale, sided, peak) in zip(slices, imap(work, slices)):
+        lo = cols.start - group.start
+        diag[lo : cols.stop - group.start] = d
         take = len(sided)
         statistic = max(statistic, peak)
-        store[:, kept : kept + take] = chunk_sums
+        if kept < lo:
+            store[:, kept : kept + take] = store[:, lo : lo + take]
         scale[kept : kept + take] = chunk_scale
         kept_sided[kept : kept + take] = sided
         kept += take
     return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
 
 
-def _folds(
-    block, workspace, rows: int, one_sided: np.ndarray, batch_size: int,
-    imap=map, jobs: int = 1,
-):
-    """Fold the estimate columns one column group (``_column_groups``) at
-    a time, yielding each group's ``_Fold``.
+def _folds(source, batch_size: int, imap=map, jobs: int = 1):
+    """Fold the estimate columns of ``source`` one column group
+    (``_column_groups``) at a time, yielding each group's ``_Fold``.
+
+    ``source`` has ``n_rows``, ``one_sided``, ``workspace(width)`` and
+    ``block(cols, work)``: the column-major values of the column slice
+    ``cols``, built in a workspace ``work``, which the fold overwrites.
 
     Every group's batch sums go to one omega x W store, so only one
     group's sums are alive, and a fold's ``sums`` hold only until the
     next group is folded.
     """
-    omega = rows // batch_size
+    omega = source.n_rows // batch_size
     if omega < 2:
         raise ValueError(
-            f"{rows} rows with batch size {batch_size} leave {omega} batches; "
-            "need at least 2"
+            f"{source.n_rows} rows with batch size {batch_size} leave {omega} "
+            "batches; need at least 2"
         )
-    groups = _column_groups(omega, len(one_sided))
+    groups = _column_groups(omega, len(source.one_sided))
     store = np.empty((omega, groups[0].stop))
     for group in groups:
-        yield _fold(
-            block, workspace, rows, one_sided, batch_size, group, store, imap, jobs
-        )
-
-
-def _seq_folds(seq: EstimateSequence, batch_size: int):
-    # each chunk is a copy, since the fold overwrites it
-    return _folds(
-        lambda cols, work: seq.values[:, cols].copy(order="F"), lambda width: None,
-        seq.n_rows, seq.one_sided, batch_size,
-    )
+        yield _fold(source, batch_size, group, store, imap, jobs)
 
 
 def _require_columns(kept: int) -> int:
@@ -469,7 +436,7 @@ def _bootstrap(folds, num_draws: int, seed, multipliers=None, imap=map):
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
     """Per-column variance proxies from batch sums: the diagonal of the
     batched covariance estimator."""
-    return np.concatenate([fold.diag for fold in _seq_folds(seq, batch_size)])
+    return np.concatenate([fold.diag for fold in _folds(seq, batch_size)])
 
 
 def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
@@ -480,7 +447,7 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
     contribute signed values, so only positive deviations count against
     the null.
     """
-    return _bootstrap(_seq_folds(seq, batch_size), 0, None)[0]
+    return _bootstrap(_folds(seq, batch_size), 0, None)[0]
 
 
 def multiplier_draws(
@@ -497,7 +464,7 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).  ``multipliers`` overrides the random draw for testing.
     """
-    return _bootstrap(_seq_folds(seq, batch_size), num_draws, seed, multipliers)[1]
+    return _bootstrap(_folds(seq, batch_size), num_draws, seed, multipliers)[1]
 
 
 def bootstrap_coordinates(
@@ -516,7 +483,7 @@ def bootstrap_coordinates(
     """
     seed = _seed_sequence(seed)
     groups = []
-    for fold in _seq_folds(seq, batch_size):
+    for fold in _folds(seq, batch_size):
         out = np.empty((num_draws, fold.k_effective))
         if fold.k_effective:
             for draws, e in _multiplier_chunks(fold, num_draws, seed, multipliers):
@@ -550,11 +517,13 @@ def _fold_and_draw(
     source = column_source(data, constraints, config.mode, subsample, config.center)
     if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
+    # columns are homogeneous in each variable and studentized, so scaling
+    # each variable by a power of two to a largest magnitude in [0.5, 1)
+    # changes no result, and tiny or huge units neither underflow nor overflow
+    x = source.x
+    np.ldexp(x, -np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1], out=x)
     with _ordered_map(jobs) as imap:
-        folds = _folds(
-            source.block, source.workspace, source.rows, source.one_sided,
-            config.batch_size, imap, jobs,
-        )
+        folds = _folds(source, config.batch_size, imap, jobs)
         return _bootstrap(folds, config.num_multipliers, mult_ss, imap=imap)
 
 
@@ -594,9 +563,7 @@ def run_test(
     )
 
 
-def hotelling_statistic(
-    data, constraints: ConstraintSystem, rank_rtol: Optional[float] = None
-) -> HotellingResult:
+def hotelling_statistic(data, constraints: ConstraintSystem) -> HotellingResult:
     """Quadratic-form statistic on the plug-in equality estimates.
 
     The covariance of the plug-in vector is estimated by the delta
@@ -604,12 +571,11 @@ def hotelling_statistic(
     second-moment entries, propagated through the Gaussian fourth-moment
     formula cov(s_ab, s_cd) = (s_ac s_bd + s_ad s_bc) / n.  The matrix
     is inverted by eigendecomposition with eigenvalues below
-    ``rank_rtol`` times the largest treated as zero.
-
-    The default cutoff is max(1e-10, 10/n): at singular points of the
-    model the plug-in covariance is rank-deficient in population, and
-    sampling noise lifts the null eigenvalues to order 1/n, so a cutoff
-    of that order is needed to recover the population rank.
+    max(1e-10, 10/n) times the largest treated as zero: at singular
+    points of the model the plug-in covariance is rank-deficient in
+    population, and sampling noise lifts the null eigenvalues to order
+    1/n, so a cutoff of that order is needed to recover the population
+    rank.
 
     Returns the statistic, the column count as nominal degrees of
     freedom, and the numerical rank actually used.
@@ -650,8 +616,7 @@ def hotelling_statistic(
     top = eigvals[-1]
     if top <= 0:
         return HotellingResult(0.0, k_cols, 0)
-    rtol = max(1e-10, 10.0 / n) if rank_rtol is None else rank_rtol
-    keep = eigvals > rtol * top
+    keep = eigvals > max(1e-10, 10.0 / n) * top
     basis = eigvecs[:, keep]
     projected = basis.T @ tau
     stat = float(projected @ (projected / eigvals[keep]))

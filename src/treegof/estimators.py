@@ -12,6 +12,7 @@ from a ``ColumnSource``, in buffers it reuses from chunk to chunk,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class EstimateSequence:
     def n_columns(self) -> int:
         return self.values.shape[1]
 
+    def workspace(self, width: int):
+        return None
+
+    def block(self, cols: slice, work) -> np.ndarray:
+        """A column-major copy of the columns ``cols``, for the fold to overwrite."""
+        return self.values[:, cols].copy(order="F")
+
 
 @dataclass(frozen=True)
 class ColumnSource:
@@ -130,20 +138,20 @@ class ColumnSource:
 
     ``quads`` holds one (a, b, c, d) row per difference column and
     ``triples`` one (p, q, r) row per sign column; sign columns follow
-    every difference column.  ``rows`` is n - 1, or n - 2 when there
+    every difference column.  ``n_rows`` is n - 1, or n - 2 when there
     are sign columns (three consecutive rows per estimate).
     """
 
     x: np.ndarray
     quads: np.ndarray
     triples: np.ndarray
-    rows: int
+    n_rows: int
 
     @property
     def n_columns(self) -> int:
         return len(self.quads) + len(self.triples)
 
-    @property
+    @cached_property
     def one_sided(self) -> np.ndarray:
         return np.arange(self.n_columns) >= len(self.quads)
 
@@ -152,8 +160,8 @@ class ColumnSource:
         second product of the difference columns and one gathered
         variable per column."""
         return (
-            np.empty((width, self.rows)),
-            np.empty((width, self.rows)),
+            np.empty((width, self.n_rows)),
+            np.empty((width, self.n_rows)),
             np.empty((width, self.x.shape[0])),
         )
 
@@ -198,11 +206,12 @@ def column_source(
     # The builders gather whole variables, so the working copy is
     # column-major; the products are elementwise and round the same in
     # any layout.  The mean is summed over C-ordered rows whatever the
-    # input layout, since numpy sums the two layouts differently.
+    # input layout, since numpy sums the two layouts differently.  The
+    # copy is the source's own, which the bootstrap scales in place.
     if center and n > 0:
         x = np.subtract(x, np.ascontiguousarray(x).mean(axis=0), order="F")
     else:
-        x = np.asfortranarray(x)
+        x = np.array(x, order="F")
     quads = constraints.equality_column_pairs()
     if mode == "equalities":
         if n < 2:

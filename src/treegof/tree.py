@@ -471,7 +471,8 @@ def _block_terms(chains, stars, quads, pairing):
     kinds = np.repeat(np.array([f[0] for f in families], dtype=np.int8), sizes)
     subs = np.repeat([f[1] for f in families], sizes)
     index = np.concatenate([f[2] for f in families], dtype=np.int16)
-    keys = np.concatenate([f[3] for f in families], dtype=np.intp)
+    # every key starts with the block's first variable, which orders nothing
+    keys = np.concatenate([f[3][:, 1:] for f in families], dtype=np.intp)
     order = np.lexsort((subs, kinds, *keys.T[::-1], kinds >= SIGN))
     return kinds[order], index[order]
 

@@ -232,31 +232,13 @@ def test_m50_star_peak_rss_below_200mb(tmp_path, capsys):
     not os.environ.get("TREEGOF_SLOW"),
     reason="large memory study; set TREEGOF_SLOW=1 to run",
 )
-def test_m80_star_enumeration_peak_rss_below_400mb():
-    # 3,491,800 terms, 115 MB with an int64 index; classifying
-    # every quadruple at once and sorting them in one pass peaked at
-    # 661 MB, one first variable at a time near 250 MB
-    terms, peak_mb = _star80_enumeration()
-    assert terms == 3_491_800
-    assert peak_mb < 400.0, f"peak RSS {peak_mb:.0f} MB"
-
-
-@pytest.mark.skipif(
-    not os.environ.get("TREEGOF_SLOW"),
-    reason="large memory study; set TREEGOF_SLOW=1 to run",
-)
 def test_star80_enumeration_peak_rss_below_150mb():
-    # the int16 index takes 31 MB; joining every block's terms at the
-    # end peaked near 250 MB, writing the equality terms in place and
-    # holding only the inequality terms near 75 MB
-    terms, peak_mb = _star80_enumeration()
-    assert terms == 3_491_800
-    assert peak_mb < 150.0, f"peak RSS {peak_mb:.0f} MB"
-
-
-def _star80_enumeration():
-    """Term count and peak RSS in MB of a child that only enumerates the
-    constraints of an 80-leaf star."""
+    # 3,491,800 terms in a child that only enumerates, 115 MB with an
+    # int64 index and 31 MB with the int16 one.  Classifying every
+    # quadruple at once and sorting them in one pass peaked at 661 MB;
+    # one first variable at a time, joining every block's terms at the
+    # end, near 250 MB; writing the equality terms in place and holding
+    # only the inequality terms near 75 MB
     child = (
         "import resource\n"
         "from treegof.tree import LatentTree, enumerate_constraints\n"
@@ -270,7 +252,8 @@ def _star80_enumeration():
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
     terms, peak_kb = map(int, proc.stdout.split())
-    return terms, peak_kb / 1024
+    assert terms == 3_491_800
+    assert peak_kb / 1024 < 150.0, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 
 def test_a6_size_near_singular_parameters():

@@ -7,6 +7,7 @@ the quadratic form) use fixed seeds and wide tolerance bands.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -92,7 +93,7 @@ def test_batch_sums_add_rows_in_order():
     rng = np.random.default_rng(8)
     values = rng.normal(size=(34, 8)) * 10.0 ** rng.integers(-3, 4, size=8)
     for batch in (3, 10):
-        (fold,) = btmod._seq_folds(_seq(values), batch)
+        (fold,) = btmod._folds(_seq(values), batch)
         # each column's mean from the column as one contiguous vector
         dev = values - [values[:, c].copy().mean() for c in range(values.shape[1])]
         omega = len(values) // batch
@@ -675,7 +676,7 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
     # chunk, however many threads take the tiles
     system = enumerate_constraints(star_tree(8))
     data = sample(covariance_from_factor(setup_params(1, 8, seed=0)), 6002, seed=2)
-    (fold,) = btmod._seq_folds(build_estimate_matrix(data, system, mode="all"), 2)
+    (fold,) = btmod._folds(build_estimate_matrix(data, system, mode="all"), 2)
     omega = (6002 - 2) // 2
     chunk_bytes = (btmod._CHUNK_BUDGET // omega) * omega * 8
     assert len(btmod._coordinate_tiles(fold, btmod._CHUNK_BUDGET // omega)) == 2
@@ -699,7 +700,34 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
     assert peaks[16] < peaks[1] + chunk_bytes / 2, {j: p / 2**20 for j, p in peaks.items()}
 
 
-def _raises_unchanged(monkeypatch, data, system, config, match):
+def test_fold_chunks_hold_no_batch_sums_of_their_own():
+    # a tall 6-leaf star in mode "all": 50 one-column chunks of omega =
+    # 19,999 batch sums each, a 7.6 MiB store.  Each chunk writes its
+    # sums into the store, so chunks that finish long before the fold
+    # takes their results hold no copy of them (2.4 times the store when
+    # every finished chunk held its own sums)
+    system = enumerate_constraints(star_tree(6))
+    data = sample(covariance_from_factor(setup_params(1, 6, seed=0)), 60_000, seed=0)
+    source = column_source(data, system, "all")
+    store_bytes = (source.n_rows // 3) * source.n_columns * 8
+    assert len(btmod._column_slices(source.n_rows, slice(0, source.n_columns))) == 50
+    with btmod._ordered_map(2) as pool_map:
+
+        def imap(fn, items):
+            # every chunk finishes before the first result is handed out
+            return iter(list(pool_map(fn, items)))
+
+        tracemalloc.start()
+        try:
+            (fold,) = btmod._folds(source, 3, imap, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert fold.k_effective == 50
+    assert peak < 1.75 * store_bytes, f"traced peak {peak / store_bytes:.2f} x the store"
+
+
+def _raises_unchanged(monkeypatch, run, match):
     # a worker's error reaches the caller as it is, whichever thread
     # raised it, and no thread outlives the call
     threads = threading.active_count()
@@ -707,28 +735,67 @@ def _raises_unchanged(monkeypatch, data, system, config, match):
     for jobs in (1, 2):
         monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
         with pytest.raises(ValueError, match=match) as err:
-            run_test(data, system, config)
+            run()
         messages.append(str(err.value))
         assert threading.active_count() == threads
     assert messages[0] == messages[1]
 
 
+def _assert_same_result(got, base):
+    assert (got.reject, got.k_effective, got.diag_floor_hits) == (
+        base.reject, base.k_effective, base.diag_floor_hits
+    )
+    assert got.statistic == pytest.approx(base.statistic, rel=1e-12, abs=0)
+    assert got.quantile == pytest.approx(base.quantile, rel=1e-12, abs=0)
+    assert got.p_value == pytest.approx(base.p_value, rel=1e-12, abs=0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_test_overflowing_data_fails_loudly(monkeypatch):
-    # squared batch sums of data scaled by 1e40 overflow; the test must
-    # not report statistic 0 and p = 1.  One column per chunk, so the
-    # error comes from many chunks in flight.
+    # run_test scales each variable by a power of two, so data scaled by
+    # 1e40, whose squared batch sums overflowed unscaled, and by 1e80,
+    # whose estimate columns did, give the unscaled result
     data, system, config = _null_case(6, 300, 0)
-    _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
-    # data scaled by 1e80 overflow in the estimate columns themselves;
-    # their non-finite means must reach the same check
     for mode in ("equalities", "all"):
-        _raises_unchanged(
-            monkeypatch, data.data * 1e80, system, replace(config, mode=mode), "overflow"
-        )
+        base = run_test(data, system, replace(config, mode=mode))
+        for factor in (1e40, 1e80):
+            for jobs in (1, 2):
+                monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+                got = run_test(data.data * factor, system, replace(config, mode=mode))
+                _assert_same_result(got, base)
+    # a chunk that overflows still fails the run instead of reporting
+    # statistic 0 and p = 1.  One column per chunk, so the error comes
+    # from one of many chunks in flight.
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
-    _raises_unchanged(monkeypatch, data.data * 1e40, system, config, "overflow")
+    moments = btmod._moments
+
+    def run():
+        calls = itertools.count()
+
+        def seventh_overflows(values, omega, batch_size):
+            if next(calls) == 6:
+                values *= 1e300
+            return moments(values, omega, batch_size)
+
+        with mock.patch.object(btmod, "_moments", seventh_overflows):
+            run_test(data, system, config)
+
+    _raises_unchanged(monkeypatch, run, "overflow")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(-250.0, 250.0), min_size=6, max_size=6),
+    st.sampled_from(["equalities", "all"]),
+)
+def test_results_invariant_to_variable_scales(exponents, mode):
+    # unscaled, a variable in units of 1e-160 put every column that
+    # holds it below the variance floor, and variables in units of 1e40
+    # overflowed; run_test's power-of-two scaling keeps every column
+    data, system, config = _null_case(6, 300, 0, n_multipliers=200, mode=mode)
+    base = run_test(data, system, config)
+    got = run_test(data.data * 10.0 ** np.array(exponents), system, config)
+    _assert_same_result(got, base)
 
 
 def test_run_test_non_finite_data_fails_loudly(monkeypatch):
@@ -736,7 +803,7 @@ def test_run_test_non_finite_data_fails_loudly(monkeypatch):
     x = data.data.copy()
     x[7, 3] = np.nan
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
-    _raises_unchanged(monkeypatch, x, system, config, "non-finite")
+    _raises_unchanged(monkeypatch, lambda: run_test(x, system, config), "non-finite")
 
 
 def test_run_test_errors():
@@ -787,16 +854,6 @@ def test_hotelling_null_mean_matches_rank():
         stats.append(result.statistic)
     mean = float(np.mean(stats))
     assert 1.6 < mean < 2.4
-
-
-def test_hotelling_rank_cutoff_override():
-    system = enumerate_constraints(star_tree(4))
-    cov = covariance_from_factor(setup_params(1, 4, seed=0))
-    data = sample(cov, 500, seed=0)
-    loose = hotelling_statistic(data, system, rank_rtol=1e-15)
-    tight = hotelling_statistic(data, system, rank_rtol=1.1)
-    assert loose.rank >= hotelling_statistic(data, system).rank
-    assert tight == HotellingResult(0.0, 2, 0)
 
 
 def test_hotelling_input_errors():

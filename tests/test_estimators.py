@@ -346,10 +346,10 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
         subsample = (min(subsample, columns), seed)
     source = column_source(x, system, mode, subsample)
     centered = x - x.mean(axis=0)
-    expected = product_columns(centered, source.quads, source.triples, source.rows)
-    budget = source.rows - 1 if narrow else btmod._BLOCK_BUDGET
+    expected = product_columns(centered, source.quads, source.triples, source.n_rows)
+    budget = source.n_rows - 1 if narrow else btmod._BLOCK_BUDGET
     with mock.patch.object(btmod, "_BLOCK_BUDGET", budget):
-        slices = btmod._column_slices(source.rows, slice(0, source.n_columns))
+        slices = btmod._column_slices(source.n_rows, slice(0, source.n_columns))
         assert len(slices) == (source.n_columns if narrow else 1)
         work = source.workspace(slices[0].stop - slices[0].start)
         for cols in slices[::-1] + slices:
@@ -358,8 +358,4 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
         plain = EstimateSequence(expected, source.one_sided)
         for jobs in (1, 2):
             with btmod._ordered_map(jobs) as imap:
-                got = btmod._folds(
-                    source.block, source.workspace, source.rows, source.one_sided,
-                    3, imap, jobs,
-                )
-                _same_folds(got, btmod._seq_folds(plain, 3))
+                _same_folds(btmod._folds(source, 3, imap, jobs), btmod._folds(plain, 3))
