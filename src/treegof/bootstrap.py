@@ -575,7 +575,10 @@ def hotelling_statistic(data, constraints: ConstraintSystem) -> HotellingResult:
     points of the model the plug-in covariance is rank-deficient in
     population, and sampling noise lifts the null eigenvalues to order
     1/n, so a cutoff of that order is needed to recover the population
-    rank.
+    rank.  The cutoff is relative to the largest eigenvalue, so the
+    result is invariant to a common scale of the data only: a variable
+    in far smaller or larger units lowers the rank, down to 0 with a
+    statistic of 0.0 and no error.  Standardise the variables first.
 
     Returns the statistic, the column count as nominal degrees of
     freedom, and the numerical rank actually used.

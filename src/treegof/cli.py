@@ -25,10 +25,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from ._svg import size_plot
 from .bootstrap import (
@@ -304,8 +302,8 @@ def _simulate_rep(cov, system, n, config, entropy, rep):
     integer, so a replication can be rerun through the Python API with
     these seed sequences, not from the command line.
     """
-    data_ss = SeedSequence(entropy=entropy, spawn_key=(rep, 0))
-    test_ss = SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+    data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
+    test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
     x = sample(cov, n, data_ss).data
     return statistic_and_draws(x, system, replace(config, seed=test_ss))
 
@@ -317,14 +315,15 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     alphas = _parse_alpha_grid(args.alpha_grid)
     system = enumerate_constraints(_star_tree(args.m))
-    params = setup_params(
-        args.setup, args.m, SeedSequence(entropy=args.seed, spawn_key=(0, 2))
-    )
+    params_ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 2))
+    params = setup_params(args.setup, args.m, params_ss)
     run_rep = partial(
         _simulate_rep, covariance_from_factor(params), system, args.n,
         _bootstrap_config(args), args.seed,
     )
     if args.jobs > 1:
+        from multiprocessing import get_context
+
         with get_context("spawn").Pool(args.jobs) as pool:
             results = pool.map(run_rep, range(args.reps))
     else:
@@ -349,7 +348,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    ss = SeedSequence(args.seed)
+    ss = np.random.SeedSequence(args.seed)
     params_ss, data_ss = ss.spawn(2)
     if args.tree is not None:
         if args.params is None:

@@ -614,7 +614,9 @@ def test_simulate_single_rep_sizes_are_binary(tmp_path, capsys):
 
 
 def test_simulate_parallel_matches_serial(tmp_path, capsys):
-    # 7 replications do not split evenly over 2 or 3 workers
+    # 7 replications do not split evenly over 2 or 3 workers.  The spawn
+    # workers of `python -m treegof.cli` import its __main__ again, which
+    # no in-process main() call covers
     base = [
         "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "7",
         "--multipliers", "100", "--seed", "11", "--alpha-grid", "0.05,0.1,0.3",
@@ -625,8 +627,17 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
         assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
         outputs[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
     capsys.readouterr()
+    out = tmp_path / "module.csv"
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treegof.cli", *base, "--jobs", "2", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert outputs["2"] == outputs["1"]
     assert outputs["3"] == outputs["1"]
+    assert (out.read_bytes(), out.with_suffix(".svg").read_bytes()) == outputs["1"]
 
 
 def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch):
@@ -787,3 +798,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "constraint_id,kind,indices,polynomial"
+
+
+_STARTUP_PROBE = """
+import json, sys
+import numpy
+baseline = set(sys.modules)
+import treegof.cli
+imported = set(sys.modules) - baseline
+tree, delta, out = sys.argv[1:]
+assert treegof.cli.main(["enumerate", "--tree", tree, "--out", out]) == 0
+assert treegof.cli.main(["check-metric", "--tree", tree, "--data", delta]) == 0
+ran = set(sys.modules) - baseline
+print(json.dumps({"import": sorted(imported), "run": sorted(ran)}))
+"""
+
+
+def test_tree_tools_load_neither_numpy_random_nor_multiprocessing(tmp_path):
+    # only simulate and generate draw, and only simulate --jobs > 1 starts
+    # a pool; loading numpy.random and multiprocessing would add about
+    # 6 MB to the start-up of enumerate and check-metric.  numpy 1.x
+    # imports numpy.random itself, so only what treegof adds counts
+    tree_path = star_file(tmp_path, 5)
+    tree = load_tree(tree_path)
+    delta = tmp_path / "delta.csv"
+    write_data_csv(delta, tree.observed, induced_metric(tree, {e: 1.0 for e in tree.edges}))
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tree_path), str(delta),
+         str(tmp_path / "c.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout.splitlines()[-1])
+    for stage in ("import", "run"):
+        loaded = [
+            name for name in added[stage]
+            if name.startswith(("multiprocessing", "numpy.random"))
+        ]
+        assert loaded == [], f"{stage} loads {loaded}"
