@@ -26,6 +26,7 @@ from .tree import ConstraintSystem
 
 __all__ = [
     "BootstrapConfig",
+    "Scratch",
     "TestResult",
     "HotellingResult",
     "batched_diag",
@@ -134,6 +135,92 @@ class _Fold:
         return self.sums.shape[1]
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One call's column groups and its views into a ``Scratch``: the
+    omega x W group store, one column workspace per fold thread, one
+    multiplier-chunk buffer when the stream is one chunk (else two), and
+    one flat coordinate-tile buffer per draw thread, but no more than a
+    chunk has tiles."""
+
+    groups: list
+    store: np.ndarray
+    workspaces: list
+    chunks: list
+    tiles: list
+
+
+def _carve(memory: np.ndarray, shapes):
+    """Consecutive arrays of ``shapes`` from the front of ``memory``."""
+    out = []
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(memory[:size].reshape(shape))
+        memory = memory[size:]
+    return out
+
+
+class Scratch:
+    """Memory that the bootstrap core takes its large buffers from: the
+    group store, the fold's column workspaces, the multiplier chunks and
+    the coordinate tiles.
+
+    The memory grows to the largest call served and is kept, so a caller
+    that runs many tests through one scratch (a ``simulate`` worker, a
+    block of replications at a time) allocates and faults it once.  A
+    scratch serves one call at a time; results never point into it.
+    """
+
+    def __init__(self):
+        self._memory = np.empty(0)
+
+    def plan(self, source, batch_size: int, jobs: int, num_draws: int) -> _Plan:
+        """The ``_Plan`` of a pass over the columns of ``source`` on
+        ``jobs`` threads, with ``num_draws`` draws per column group.
+
+        After the store, the workspaces of a group's fold and the tiles
+        of its draws take the front of the memory, and the multiplier
+        chunks its end.  The fold and the draws never run at once, so
+        the chunks overlap the workspaces, except that a stream of one
+        chunk is kept for the folds of later groups.
+        """
+        omega = source.n_rows // batch_size
+        if omega < 2:
+            raise ValueError(
+                f"{source.n_rows} rows with batch size {batch_size} leave {omega} "
+                "batches; need at least 2"
+            )
+        groups = _column_groups(omega, len(source.one_sided))
+        slices = _column_slices(source.n_rows, groups[0])
+        widest = slices[0].stop - slices[0].start if slices else 0
+        space = source.workspace_shapes(widest)
+        space_size = sum(math.prod(shape) for shape in space)
+        spaces = min(jobs, len(slices))
+        # the multiplier chunk rows, which ``_multiplier_chunks`` takes
+        # from the chunk buffers
+        rows = max(1, min(num_draws, _CHUNK_BUDGET // omega))
+        chunks = [(rows, omega)] * (1 if rows >= num_draws else 2)
+        # at most one tile per thread and per tile of a chunk is in flight
+        height, width = _tile_shape(rows, groups[0].stop)
+        tiles = min(jobs, -(-rows // height) * -(-groups[0].stop // width))
+        drawn = rows * omega * len(chunks)
+        held = drawn if len(chunks) == 1 and len(groups) > 1 else 0
+        store_size = omega * groups[0].stop
+        size = store_size + max(space_size * spaces + held, height * width * tiles + drawn)
+        if len(self._memory) < size:
+            # give the old memory back before taking the new
+            self._memory = np.empty(0)
+            self._memory = np.empty(size)
+        front = self._memory[store_size:]
+        return _Plan(
+            groups,
+            self._memory[:store_size].reshape(omega, groups[0].stop),
+            [tuple(_carve(front[i * space_size :], space)) for i in range(spaces)],
+            _carve(self._memory[size - drawn :], chunks),
+            _carve(front, [(height * width,)] * tiles),
+        )
+
+
 def _usable_cores() -> int:
     """The cores this process may run on (``taskset`` restricts them)."""
     if hasattr(os, "sched_getaffinity"):
@@ -240,10 +327,10 @@ def _fold_chunk(source, spare, batch_size, store, group, cols):
     return d, scale, sided, peak
 
 
-def _fold(source, batch_size: int, group: slice, store: np.ndarray, imap, jobs: int):
+def _fold(source, batch_size: int, group: slice, store: np.ndarray, workspaces, imap):
     """One pass over the estimate columns of ``group`` of ``source``,
-    chunk by chunk in canonical order; ``imap`` runs at most ``jobs``
-    chunks at a time.
+    chunk by chunk in canonical order; ``imap`` runs at most one chunk
+    per workspace of ``workspaces`` at a time.
 
     Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
@@ -254,9 +341,10 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, imap, jobs: 
     ``store``; the fold moves them left past the columns dropped before
     them, so the kept sums end up at the front of ``store``.
 
-    The fold allocates one workspace for the widest chunk per chunk in
-    flight, on the calling thread, and frees them when it returns, so
-    that they are not held during the draws.
+    The workspaces, each as wide as the widest chunk, come from the
+    call's ``Scratch``, so every group's fold reuses the memory of the
+    first; the group's draws take the same memory for their multiplier
+    chunks and coordinate tiles.
     """
     width = group.stop - group.start
     diag = np.empty(width)
@@ -265,8 +353,7 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, imap, jobs: 
     statistic = -math.inf
     kept = 0
     slices = _column_slices(source.n_rows, group)
-    widest = slices[0].stop - slices[0].start if slices else 0
-    spare = deque(source.workspace(widest) for _ in range(min(jobs, len(slices))))
+    spare = deque(workspaces)
     work = partial(_fold_chunk, source, spare, batch_size, store, group)
     for cols, (d, chunk_scale, sided, peak) in zip(slices, imap(work, slices)):
         lo = cols.start - group.start
@@ -281,28 +368,21 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, imap, jobs: 
     return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
 
 
-def _folds(source, batch_size: int, imap=map, jobs: int = 1):
-    """Fold the estimate columns of ``source`` one column group
-    (``_column_groups``) at a time, yielding each group's ``_Fold``.
+def _folds(source, batch_size: int, plan: _Plan, imap=map):
+    """Fold the estimate columns of ``source`` one column group of
+    ``plan`` at a time, yielding each group's ``_Fold``.
 
-    ``source`` has ``n_rows``, ``one_sided``, ``workspace(width)`` and
-    ``block(cols, work)``: the column-major values of the column slice
-    ``cols``, built in a workspace ``work``, which the fold overwrites.
+    ``source`` has ``n_rows``, ``one_sided``, ``workspace_shapes(width)``
+    and ``block(cols, work)``: the column-major values of the column
+    slice ``cols``, built in a workspace ``work`` of arrays of those
+    shapes, which the fold overwrites.
 
-    Every group's batch sums go to one omega x W store, so only one
-    group's sums are alive, and a fold's ``sums`` hold only until the
-    next group is folded.
+    Every group's batch sums go to the plan's one omega x W store, so
+    only one group's sums are alive, and a fold's ``sums`` hold only
+    until the next group is folded.
     """
-    omega = source.n_rows // batch_size
-    if omega < 2:
-        raise ValueError(
-            f"{source.n_rows} rows with batch size {batch_size} leave {omega} "
-            "batches; need at least 2"
-        )
-    groups = _column_groups(omega, len(source.one_sided))
-    store = np.empty((omega, groups[0].stop))
-    for group in groups:
-        yield _fold(source, batch_size, group, store, imap, jobs)
+    for group in plan.groups:
+        yield _fold(source, batch_size, group, plan.store, plan.workspaces, imap)
 
 
 def _require_columns(kept: int) -> int:
@@ -320,14 +400,15 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers):
-    """Yield (draw slice, multiplier chunk) pairs of about
-    ``_CHUNK_BUDGET`` values each.
+def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers, buffers):
+    """Yield (draw slice, multiplier chunk) pairs of as many draws as
+    ``buffers`` (a plan's ``chunks``) have rows.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
     ``seed`` is a ``SeedSequence``, so every column group draws the same
-    stream.
+    stream.  The chunks are drawn into ``buffers`` in turn, so a chunk is
+    overwritten when the one after next is drawn.
     """
     omega = fold.sums.shape[0]
     rng = np.random.default_rng(seed)
@@ -338,85 +419,110 @@ def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers):
                 f"multipliers must have shape {(num_draws, omega)}, "
                 f"got {multipliers.shape}"
             )
-    chunk = max(1, _CHUNK_BUDGET // omega)
-    for start in range(0, num_draws, chunk):
+    chunk = len(buffers[0])
+    for i, start in enumerate(range(0, num_draws, chunk)):
         take = min(chunk, num_draws - start)
         if multipliers is None:
-            e = rng.standard_normal((take, omega))
+            e = rng.standard_normal(out=buffers[i % len(buffers)][:take])
         else:
             e = multipliers[start : start + take]
         yield slice(start, start + take), e
 
 
+def _tile_shape(draws: int, kept: int):
+    """Most rows and columns of a coordinate tile of a chunk of
+    ``draws`` multipliers over ``kept`` columns: at most ``_TILE_SIDE``
+    rows and columns and ``_BLOCK_BUDGET`` coordinates, and at most half
+    the kept columns wide, so that two threads share even a narrow
+    chunk."""
+    height = max(1, min(draws, _TILE_SIDE, _BLOCK_BUDGET))
+    return height, max(1, min(_TILE_SIDE, _BLOCK_BUDGET // height, (kept + 1) // 2))
+
+
 def _coordinate_tiles(fold: _Fold, draws: int):
     """(draw rows, kept columns) tiles of a chunk of ``draws``
-    multipliers: at most ``_TILE_SIDE`` rows and columns and
-    ``_BLOCK_BUDGET`` coordinates each, and at most half the kept
-    columns wide, so that two threads share even a narrow chunk.
+    multipliers, of at most ``_tile_shape`` each.
 
     The sup-norm draws and the raw-coordinate diagnostic multiply
     exactly these tiles.  They depend only on the shapes, never on the
     thread count: BLAS blocking may change low bits with the tile shape.
     """
     kept = fold.k_effective
-    height = max(1, min(draws, _TILE_SIDE, _BLOCK_BUDGET))
-    width = max(1, min(_TILE_SIDE, _BLOCK_BUDGET // height, (kept + 1) // 2))
+    height, width = _tile_shape(draws, kept)
     return [
-        (slice(lo, lo + height), slice(left, left + width))
+        (slice(lo, min(lo + height, draws)), slice(left, min(left + width, kept)))
         for left in range(0, kept, width)
         for lo in range(0, draws, height)
     ]
 
 
-def _coordinates(fold: _Fold, e: np.ndarray, cols: slice) -> np.ndarray:
+def _coordinates(fold: _Fold, e: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
     """Studentized bootstrap coordinates of the kept columns ``cols``
-    under the multiplier chunk ``e``."""
-    coord = e @ fold.sums[:, cols]
-    coord /= fold.scale[cols]
-    return coord
+    under the multiplier chunk ``e``, written into ``out``."""
+    np.matmul(e, fold.sums[:, cols], out=out)
+    out /= fold.scale[cols]
+    return out
 
 
-def _tile_peaks(fold: _Fold, e: np.ndarray, tile) -> np.ndarray:
+def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
     """Per draw of a tile of the chunk ``e``, the tile's largest
-    coordinate, signed for one-sided columns and absolute otherwise."""
+    coordinate, signed for one-sided columns and absolute otherwise.
+
+    The coordinates are written into a tile buffer taken from ``spare``,
+    which gets it back when the peaks are taken."""
     rows, cols = tile
-    coord = _coordinates(fold, e[rows], cols)
-    np.abs(coord, out=coord, where=~fold.one_sided[cols])
-    return coord.max(axis=1)
+    e = e[rows]
+    buffer = spare.pop()
+    try:
+        coord = buffer[: len(e) * (cols.stop - cols.start)].reshape(len(e), -1)
+        _coordinates(fold, e, cols, coord)
+        sided = fold.one_sided[cols]
+        # a masked ``abs`` takes twice as long as a plain one, so tiles of
+        # one kind of column skip the mask
+        if not sided.any():
+            np.abs(coord, out=coord)
+        elif not sided.all():
+            np.abs(coord, out=coord, where=~sided)
+        return coord.max(axis=1)
+    finally:
+        spare.append(buffer)
 
 
-def _draws(fold: _Fold, num_draws: int, seed, multipliers=None, imap=map) -> np.ndarray:
+def _draws(fold: _Fold, num_draws: int, seed, plan: _Plan, multipliers=None, imap=map):
     """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
     peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap``)
     combine by ``max``, which is exact.
 
     The calling thread draws the next chunk while the threads work on
-    the current one, so at most two chunks are alive for any thread
-    count.
+    the current one, and takes every peak of a chunk before it draws the
+    one after next, so the plan's two chunk buffers serve any thread
+    count; each tile in flight has one of its tile buffers.
     """
     out = np.full(num_draws, -np.inf)
-    chunks = _multiplier_chunks(fold, num_draws, seed, multipliers)
+    chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, plan.chunks)
+    spare = deque(plan.tiles)
     chunk = next(chunks, None)
     while chunk is not None:
         draws, e = chunk
         tiles = _coordinate_tiles(fold, len(e))
-        peaks = imap(partial(_tile_peaks, fold, e), tiles)
+        peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
         chunk = next(chunks, None)
         for (rows, _), tile_peaks in zip(tiles, peaks):
             np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
     return out
 
 
-def _bootstrap(folds, num_draws: int, seed, multipliers=None, imap=map):
+def _bootstrap(folds, num_draws: int, seed, plan: _Plan, multipliers=None, imap=map):
     """The statistic, the sup-norm draws, the kept columns and all
-    columns of the column groups ``folds``.
+    columns of the column groups ``folds``, drawn in the memory of
+    ``plan``.
 
     Every group's draws replay the multiplier stream from ``seed`` with
-    a fresh generator, except that a stream of one chunk is drawn once
-    and kept for every group (the threads wait while the calling thread
-    draws a chunk).  A group with no kept column draws nothing.  The
-    groups' statistics and draws combine by ``max``, which is exact and
-    independent of order.
+    a fresh generator, except that a stream of one chunk (one buffer) is
+    drawn once and kept for every group (the threads wait while the
+    calling thread draws a chunk).  A group with no kept column draws
+    nothing.  The groups' statistics and draws combine by ``max``, which
+    is exact and independent of order.
     """
     seed = _seed_sequence(seed)
     statistic = -math.inf
@@ -427,16 +533,20 @@ def _bootstrap(folds, num_draws: int, seed, multipliers=None, imap=map):
         kept += fold.k_effective
         columns += len(fold.diag)
         if fold.k_effective and num_draws:
-            if multipliers is None and num_draws * fold.sums.shape[0] <= _CHUNK_BUDGET:
-                multipliers = next(_multiplier_chunks(fold, num_draws, seed, None))[1]
-            np.maximum(draws, _draws(fold, num_draws, seed, multipliers, imap), out=draws)
+            if multipliers is None and len(plan.chunks) == 1:
+                stream = _multiplier_chunks(fold, num_draws, seed, None, plan.chunks)
+                multipliers = next(stream)[1]
+            np.maximum(
+                draws, _draws(fold, num_draws, seed, plan, multipliers, imap), out=draws
+            )
     return statistic, draws, _require_columns(kept), columns
 
 
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
     """Per-column variance proxies from batch sums: the diagonal of the
     batched covariance estimator."""
-    return np.concatenate([fold.diag for fold in _folds(seq, batch_size)])
+    plan = Scratch().plan(seq, batch_size, 1, 0)
+    return np.concatenate([fold.diag for fold in _folds(seq, batch_size, plan)])
 
 
 def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
@@ -447,7 +557,8 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
     contribute signed values, so only positive deviations count against
     the null.
     """
-    return _bootstrap(_folds(seq, batch_size), 0, None)[0]
+    plan = Scratch().plan(seq, batch_size, 1, 0)
+    return _bootstrap(_folds(seq, batch_size, plan), 0, None, plan)[0]
 
 
 def multiplier_draws(
@@ -464,7 +575,9 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).  ``multipliers`` overrides the random draw for testing.
     """
-    return _bootstrap(_folds(seq, batch_size), num_draws, seed, multipliers)[1]
+    plan = Scratch().plan(seq, batch_size, 1, num_draws)
+    folds = _folds(seq, batch_size, plan)
+    return _bootstrap(folds, num_draws, seed, plan, multipliers)[1]
 
 
 def bootstrap_coordinates(
@@ -482,13 +595,15 @@ def bootstrap_coordinates(
     Conditionally on the data, every coordinate has variance 1.
     """
     seed = _seed_sequence(seed)
+    plan = Scratch().plan(seq, batch_size, 1, num_draws)
     groups = []
-    for fold in _folds(seq, batch_size):
+    for fold in _folds(seq, batch_size, plan):
         out = np.empty((num_draws, fold.k_effective))
         if fold.k_effective:
-            for draws, e in _multiplier_chunks(fold, num_draws, seed, multipliers):
+            chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, plan.chunks)
+            for draws, e in chunks:
                 for rows, cols in _coordinate_tiles(fold, len(e)):
-                    out[draws][rows, cols] = _coordinates(fold, e[rows], cols)
+                    _coordinates(fold, e[rows], cols, out[draws][rows, cols])
         groups.append(out)
     _require_columns(sum(block.shape[1] for block in groups))
     return np.hstack(groups)
@@ -506,10 +621,10 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
 
 
 def _fold_and_draw(
-    data, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int
+    data, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int, scratch
 ):
     """``_bootstrap`` of the estimate columns of ``data``, on ``jobs``
-    threads."""
+    threads, with the large buffers taken from ``scratch``."""
     mult_ss, sub_ss = _seed_sequence(config.seed).spawn(2)
     subsample = None
     if config.subsample is not None:
@@ -522,16 +637,22 @@ def _fold_and_draw(
     # changes no result, and tiny or huge units neither underflow nor overflow
     x = source.x
     np.ldexp(x, -np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1], out=x)
+    plan = scratch.plan(source, config.batch_size, jobs, config.num_multipliers)
     with _ordered_map(jobs) as imap:
-        folds = _folds(source, config.batch_size, imap, jobs)
-        return _bootstrap(folds, config.num_multipliers, mult_ss, imap=imap)
+        folds = _folds(source, config.batch_size, plan, imap)
+        return _bootstrap(folds, config.num_multipliers, mult_ss, plan, imap=imap)
 
 
-def statistic_and_draws(data, constraints: ConstraintSystem, config: BootstrapConfig):
+def statistic_and_draws(
+    data, constraints: ConstraintSystem, config: BootstrapConfig, scratch: Scratch
+):
     """The test statistic and its bootstrap draws, from one pass over
     the estimate columns on the calling thread; ``run_test`` compares
-    exactly these."""
-    stat, draws, _, _ = _fold_and_draw(data, constraints, config, 1)
+    exactly these.
+
+    The large buffers come from ``scratch``, so a loop of tests that
+    passes one ``Scratch()`` to every call allocates them once."""
+    stat, draws, _, _ = _fold_and_draw(data, constraints, config, 1, scratch)
     return stat, draws
 
 
@@ -547,7 +668,7 @@ def run_test(
     the same for any count.
     """
     stat, draws, kept, columns = _fold_and_draw(
-        data, constraints, config, _usable_cores()
+        data, constraints, config, _usable_cores(), Scratch()
     )
     quantile = quantile_from_draws(draws, config.alpha)
     p_value = (float(np.count_nonzero(draws >= stat)) + 1.0) / (

@@ -122,8 +122,8 @@ class EstimateSequence:
     def n_columns(self) -> int:
         return self.values.shape[1]
 
-    def workspace(self, width: int):
-        return None
+    def workspace_shapes(self, width: int):
+        return ()
 
     def block(self, cols: slice, work) -> np.ndarray:
         """A column-major copy of the columns ``cols``, for the fold to overwrite."""
@@ -155,15 +155,11 @@ class ColumnSource:
     def one_sided(self) -> np.ndarray:
         return np.arange(self.n_columns) >= len(self.quads)
 
-    def workspace(self, width: int):
-        """Buffers for chunks of up to ``width`` columns: the columns, the
-        second product of the difference columns and one gathered
-        variable per column."""
-        return (
-            np.empty((width, self.n_rows)),
-            np.empty((width, self.n_rows)),
-            np.empty((width, self.x.shape[0])),
-        )
+    def workspace_shapes(self, width: int):
+        """Shapes of the buffers of a workspace for chunks of up to
+        ``width`` columns: the columns, the second product of the
+        difference columns and one gathered variable per column."""
+        return (width, self.n_rows), (width, self.n_rows), (width, self.x.shape[0])
 
     def block(self, cols: slice, work) -> np.ndarray:
         """Columns ``cols.start`` to ``cols.stop - 1``, one row per
@@ -171,8 +167,9 @@ class ColumnSource:
         monomial estimates, so that large positive values indicate
         violation.
 
-        The columns are built in ``work``, a ``workspace`` of at least
-        ``len(cols)`` columns, and the result is a view of it."""
+        The columns are built in ``work``, arrays of the
+        ``workspace_shapes`` of at least ``len(cols)`` columns, and the
+        result is a view of it."""
         split = len(self.quads)
         quads = self.quads[cols]
         triples = self.triples[max(cols.start - split, 0) : max(cols.stop - split, 0)]
@@ -268,7 +265,8 @@ def build_estimate_matrix(
     """
     source = column_source(data, constraints, mode, subsample, center)
     width = source.n_columns
-    values = source.block(slice(0, width), source.workspace(width))
+    work = [np.empty(shape) for shape in source.workspace_shapes(width)]
+    values = source.block(slice(0, width), work)
     return EstimateSequence(values, source.one_sided)
 
 

@@ -27,6 +27,7 @@ from conftest import product_columns, random_latent_tree, star_tree
 from treegof.bootstrap import (
     BootstrapConfig,
     HotellingResult,
+    Scratch,
     batched_diag,
     bootstrap_coordinates,
     hotelling_statistic,
@@ -44,6 +45,12 @@ from treegof.estimators import (
 )
 from treegof.model import covariance_from_factor, sample, setup_params
 from treegof.tree import ConstraintSystem, enumerate_constraints
+
+
+def _folds(source, batch_size, imap=map, jobs=1):
+    # the folds of one call with a fresh scratch of its own
+    plan = Scratch().plan(source, batch_size, jobs, 0)
+    return btmod._folds(source, batch_size, plan, imap)
 
 
 def _seq(values, one_sided=None):
@@ -93,7 +100,7 @@ def test_batch_sums_add_rows_in_order():
     rng = np.random.default_rng(8)
     values = rng.normal(size=(34, 8)) * 10.0 ** rng.integers(-3, 4, size=8)
     for batch in (3, 10):
-        (fold,) = btmod._folds(_seq(values), batch)
+        (fold,) = _folds(_seq(values), batch)
         # each column's mean from the column as one contiguous vector
         dev = values - [values[:, c].copy().mean() for c in range(values.shape[1])]
         omega = len(values) // batch
@@ -273,7 +280,7 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
     monkeypatch.setattr(btmod, "_TILE_SIDE", 7)
     monkeypatch.setattr(btmod, "_usable_cores", lambda: 1)
     base = run_test(data, system, config)
-    stat, draws = statistic_and_draws(data, system, config)
+    stat, draws = statistic_and_draws(data, system, config, Scratch())
     if case is _constant_column_case:
         assert base.diag_floor_hits == 20 and base.k_effective == 10
     # the chunks built in the fold's buffers reduce exactly like the
@@ -299,7 +306,9 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
             monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
             # every field compared with ==, floats included
             assert run_test(data, system, config) == base
-            got_stat, got_draws, _, _ = btmod._fold_and_draw(data, system, config, jobs)
+            got_stat, got_draws, _, _ = btmod._fold_and_draw(
+                data, system, config, jobs, Scratch()
+            )
             assert got_stat == stat
             np.testing.assert_array_equal(got_draws, draws)
     finally:
@@ -676,7 +685,8 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
     # chunk, however many threads take the tiles
     system = enumerate_constraints(star_tree(8))
     data = sample(covariance_from_factor(setup_params(1, 8, seed=0)), 6002, seed=2)
-    (fold,) = btmod._folds(build_estimate_matrix(data, system, mode="all"), 2)
+    seq = build_estimate_matrix(data, system, mode="all")
+    (fold,) = _folds(seq, 2)
     omega = (6002 - 2) // 2
     chunk_bytes = (btmod._CHUNK_BUDGET // omega) * omega * 8
     assert len(btmod._coordinate_tiles(fold, btmod._CHUNK_BUDGET // omega)) == 2
@@ -687,17 +697,25 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
         return tile_peaks(*args)
 
     monkeypatch.setattr(btmod, "_tile_peaks", slow_tile_peaks)
-    peaks, draws = {}, {}
+    peaks, draws, tiles = {}, {}, {}
     for jobs in (1, 16):
         with btmod._ordered_map(jobs) as imap:
             tracemalloc.start()
             try:
-                draws[jobs] = btmod._draws(fold, 1000, 3, imap=imap)
+                # the draws' scratch is traced: its tile buffers, one per
+                # thread and tile of a chunk, and its chunks.  Its store
+                # goes unused, the same at every thread count
+                plan = Scratch().plan(seq, 2, jobs, 1000)
+                tiles[jobs] = len(plan.tiles)
+                draws[jobs] = btmod._draws(fold, 1000, 3, plan, imap=imap)
                 _, peaks[jobs] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
     np.testing.assert_array_equal(draws[16], draws[1])
     assert peaks[16] < peaks[1] + chunk_bytes / 2, {j: p / 2**20 for j, p in peaks.items()}
+    # a tile buffer per thread would be 16 on a 16-core host, where the
+    # chunk has only two tiles to run at once
+    assert tiles == {1: 1, 16: 2}
 
 
 def test_fold_chunks_hold_no_batch_sums_of_their_own():
@@ -719,12 +737,138 @@ def test_fold_chunks_hold_no_batch_sums_of_their_own():
 
         tracemalloc.start()
         try:
-            (fold,) = btmod._folds(source, 3, imap, 2)
+            (fold,) = _folds(source, 3, imap, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert fold.k_effective == 50
     assert peak < 1.75 * store_bytes, f"traced peak {peak / store_bytes:.2f} x the store"
+
+
+def _unshared_result(data, system, config):
+    """What ``_fold_and_draw`` returns, from a path whose scratch holds
+    only the group store: plain product columns, which need no column
+    workspace, and the whole multiplier stream, passed in, multiplied
+    into coordinates written to an array of their own."""
+    mult_ss, sub_ss = btmod._seed_sequence(config.seed).spawn(2)
+    sub = None if config.subsample is None else (config.subsample, sub_ss)
+    source = column_source(data, system, config.mode, sub)
+    x = np.asarray(getattr(data, "data", data))
+    plain = EstimateSequence(
+        product_columns(x - x.mean(axis=0), source.quads, source.triples, source.n_rows),
+        source.one_sided,
+    )
+    batch, draws = config.batch_size, config.num_multipliers
+    stream = np.random.default_rng(mult_ss).standard_normal((draws, source.n_rows // batch))
+    coords = bootstrap_coordinates(plain, batch, draws, None, multipliers=stream)
+    keep = batched_diag(plain, batch) > btmod.DIAG_FLOOR
+    signed = np.where(plain.one_sided[keep], coords, np.abs(coords))
+    return sup_statistic(plain, batch), signed.max(axis=1), coords.shape[1], len(keep)
+
+
+def _scratch_cases():
+    # (name, case, patched budgets), small shapes first, then the
+    # largest, then small ones again, so that one scratch grows and
+    # shrinks.  Groups of 8 columns with the default chunk budget keep a
+    # one-chunk stream across groups; a 20,000-value chunk budget makes
+    # the stream several chunks, and a block budget of one column per
+    # chunk makes the fold tall, as in a tall dataset
+    tall = _null_case(5, 3000, 6, n_multipliers=300, mode="all")
+    groups = {"_TILE_SIDE": 4, "_SUMS_BUDGET": 1, "_MIN_GROUP": 8}
+    defaults = {"_CHUNK_BUDGET": btmod._CHUNK_BUDGET}
+    return [
+        ("groups, kept stream", _null_case(7, 150, 1, n_multipliers=200), groups),
+        ("groups, streamed", _null_case(7, 150, 2), {**groups, "_CHUNK_BUDGET": 2000}),
+        ("tall, streamed", tall, {"_CHUNK_BUDGET": 20_000, "_BLOCK_BUDGET": 2998}),
+        ("all, constant column", _constant_column_case(), groups),
+        ("subsample", _null_case(6, 250, 5, subsample=15, mode="all"), defaults),
+        ("one group", _null_case(6, 250, 3), defaults),
+    ]
+
+
+def _assert_disjoint(plan):
+    # what may be in use at the same time never shares memory: the store
+    # with anything, one thread's workspace or tile with another's, the
+    # two multiplier chunks, tiles with chunks, and a stream kept across
+    # groups with the workspaces of the later groups' folds
+    spaces = [list(space) for space in plan.workspaces]
+    tiles = [[tile] for tile in plan.tiles]
+    chunks = [[chunk] for chunk in plan.chunks]
+    pairs = [([plan.store], b) for b in spaces + tiles + chunks]
+    for buffers in (spaces, tiles, chunks):
+        pairs += itertools.combinations(buffers, 2)
+    pairs += itertools.product(tiles, chunks)
+    if len(plan.chunks) == 1 and len(plan.groups) > 1:
+        pairs += itertools.product(chunks, spaces)
+    for a, b in pairs:
+        assert not any(np.shares_memory(x, y) for x in a for y in b)
+
+
+def test_reused_scratch_matches_unshared_buffers_bit_for_bit():
+    # every case through one scratch, then each through a fresh scratch,
+    # and each by a path that shares no workspace, chunk or tile memory:
+    # a buffer overwritten while still in use changes draws or the
+    # statistic, and the results must agree bit for bit
+    shared = Scratch()
+    for jobs in (1, 2):
+        for name, (data, system, config), budgets in _scratch_cases():
+            with mock.patch.multiple(btmod, **budgets):
+                expect = _unshared_result(data, system, config)
+                reused = btmod._fold_and_draw(data, system, config, jobs, shared)
+                fresh = btmod._fold_and_draw(data, system, config, jobs, Scratch())
+                plan = Scratch().plan(
+                    column_source(data, system, config.mode), 3, jobs, config.num_multipliers
+                )
+            for got in (reused, fresh):
+                assert (got[0], got[2], got[3]) == (expect[0], expect[2], expect[3]), name
+                np.testing.assert_array_equal(got[1], expect[1], err_msg=name)
+            assert (len(plan.groups) > 2) == ("_SUMS_BUDGET" in budgets), name
+            _assert_disjoint(plan)
+            assert len(plan.chunks) == (2 if name.endswith("streamed") else 1), name
+            if name == "all, constant column":
+                assert expect[3] - expect[2] == 20
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_minflt counts page faults on Linux"
+)
+def test_replications_through_one_scratch_fault_few_pages():
+    # simulate-size's replications: after one warm-up replication, the
+    # large buffers are the scratch's, and a replication faults only the
+    # pages its small temporaries take.  Memory allocated and freed
+    # between replications moves the heap, which must not matter: the
+    # per-replication buffers made glibc trim the heap and fault it
+    # back, about 130 to 600 pages per replication
+    import resource
+
+    system = enumerate_constraints(star_tree(10))
+    cov = covariance_from_factor(setup_params(2, 10, seed=0))
+    config = BootstrapConfig(num_multipliers=1000)
+    scratch = Scratch()
+    results, held = [], []
+
+    def replicate(rep):
+        x = sample(cov, 500, seed=rep).data
+        results.append(statistic_and_draws(x, system, replace(config, seed=rep), scratch))
+
+    def shift(form):
+        if form == "one block":
+            np.ones(3 << 17)
+        elif form == "many blocks":
+            [np.ones(1 << 14) for _ in range(24)]
+        elif form == "held block":
+            held.append(np.ones(1 << 17))
+            del held[:-1]
+
+    for form in ("none", "one block", "many blocks", "held block"):
+        replicate(0)
+        faults = 0
+        for rep in range(1, 51):
+            shift(form)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            replicate(rep)
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 30 * 50, f"{form}: {faults / 50:.1f} faults per replication"
 
 
 def _raises_unchanged(monkeypatch, run, match):

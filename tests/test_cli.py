@@ -614,19 +614,31 @@ def test_simulate_single_rep_sizes_are_binary(tmp_path, capsys):
 
 
 def test_simulate_parallel_matches_serial(tmp_path, capsys):
-    # 7 replications do not split evenly over 2 or 3 workers.  The spawn
+    # 7 replications do not split evenly over 2 or 3 workers.  The
+    # workers take blocks of consecutive replications, about sixteen per
+    # worker: 33 replications over 2 workers are sixteen blocks of 2 and
+    # a last block of 1.  The spawn
     # workers of `python -m treegof.cli` import its __main__ again, which
     # no in-process main() call covers
     base = [
         "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "7",
         "--multipliers", "100", "--seed", "11", "--alpha-grid", "0.05,0.1,0.3",
     ]
-    outputs = {}
+    # at alpha 0.99 almost every replication rejects, so a lost
+    # replication would show in the sizes
+    short_last = base[:8] + ["33"] + base[9:-1] + ["0.05,0.5,0.99"]
+    outputs, short = {}, {}
     for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}.csv"
         assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
         outputs[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
+    for jobs in ("1", "2"):
+        out = tmp_path / f"short{jobs}.csv"
+        assert main(short_last + ["--jobs", jobs, "--out", str(out)]) == 0
+        short[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
     capsys.readouterr()
+    assert short["2"] == short["1"]
+    assert short["1"][0].endswith(b"0.99,1,33\n")
     out = tmp_path / "module.csv"
     src = os.path.dirname(os.path.dirname(treegof.__file__))
     proc = subprocess.run(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import treegof.bootstrap as btmod
 from conftest import product_columns, random_latent_tree, star_tree
-from treegof.bootstrap import BootstrapConfig, run_test
+from treegof.bootstrap import BootstrapConfig, Scratch, run_test
 from treegof.estimators import (
     EstimateSequence,
     build_estimate_matrix,
@@ -351,11 +351,15 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
     with mock.patch.object(btmod, "_BLOCK_BUDGET", budget):
         slices = btmod._column_slices(source.n_rows, slice(0, source.n_columns))
         assert len(slices) == (source.n_columns if narrow else 1)
-        work = source.workspace(slices[0].stop - slices[0].start)
+        widest = slices[0].stop - slices[0].start
+        work = [np.empty(shape) for shape in source.workspace_shapes(widest)]
         for cols in slices[::-1] + slices:
             assert np.array_equal(source.block(cols, work), expected[:, cols])
 
         plain = EstimateSequence(expected, source.one_sided)
         for jobs in (1, 2):
             with btmod._ordered_map(jobs) as imap:
-                _same_folds(btmod._folds(source, 3, imap, jobs), btmod._folds(plain, 3))
+                plans = [Scratch().plan(s, 3, jobs, 0) for s in (source, plain)]
+                _same_folds(
+                    btmod._folds(source, 3, plans[0], imap), btmod._folds(plain, 3, plans[1])
+                )
