@@ -135,90 +135,42 @@ class _Fold:
         return self.sums.shape[1]
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """One call's column groups and its views into a ``Scratch``: the
-    omega x W group store, one column workspace per fold thread, one
-    multiplier-chunk buffer when the stream is one chunk (else two), and
-    one flat coordinate-tile buffer per draw thread, but no more than a
-    chunk has tiles."""
-
-    groups: list
-    store: np.ndarray
-    workspaces: list
-    chunks: list
-    tiles: list
-
-
-def _carve(memory: np.ndarray, shapes):
-    """Consecutive arrays of ``shapes`` from the front of ``memory``."""
-    out = []
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(memory[:size].reshape(shape))
-        memory = memory[size:]
-    return out
-
-
 class Scratch:
-    """Memory that the bootstrap core takes its large buffers from: the
-    group store, the fold's column workspaces, the multiplier chunks and
-    the coordinate tiles.
+    """Memory that the bootstrap core takes its large buffers from, in
+    three regions:
 
-    The memory grows to the largest call served and is kept, so a caller
-    that runs many tests through one scratch (a ``simulate`` worker, a
-    block of replications at a time) allocates and faults it once.  A
-    scratch serves one call at a time; results never point into it.
+    - ``store``: one column group's omega x W batch sums;
+    - ``work``: one group's fold workspaces, and then that group's
+      multiplier chunks and coordinate tiles;
+    - ``stream``: a one-chunk multiplier stream kept across groups.
+
+    Each phase takes its buffers with ``take`` when it runs.  A group's
+    fold always finishes before its draws start, so they share ``work``.
+    A region grows to the largest request served and is kept, so a
+    caller that runs many tests through one scratch (a ``simulate``
+    worker, a block of replications at a time) allocates and faults it
+    once.  A scratch serves one call at a time; results never point into
+    it.
     """
 
     def __init__(self):
-        self._memory = np.empty(0)
+        self._regions = dict.fromkeys(("store", "work", "stream"), np.empty(0))
 
-    def plan(self, source, batch_size: int, jobs: int, num_draws: int) -> _Plan:
-        """The ``_Plan`` of a pass over the columns of ``source`` on
-        ``jobs`` threads, with ``num_draws`` draws per column group.
-
-        After the store, the workspaces of a group's fold and the tiles
-        of its draws take the front of the memory, and the multiplier
-        chunks its end.  The fold and the draws never run at once, so
-        the chunks overlap the workspaces, except that a stream of one
-        chunk is kept for the folds of later groups.
-        """
-        omega = source.n_rows // batch_size
-        if omega < 2:
-            raise ValueError(
-                f"{source.n_rows} rows with batch size {batch_size} leave {omega} "
-                "batches; need at least 2"
-            )
-        groups = _column_groups(omega, len(source.one_sided))
-        slices = _column_slices(source.n_rows, groups[0])
-        widest = slices[0].stop - slices[0].start if slices else 0
-        space = source.workspace_shapes(widest)
-        space_size = sum(math.prod(shape) for shape in space)
-        spaces = min(jobs, len(slices))
-        # the multiplier chunk rows, which ``_multiplier_chunks`` takes
-        # from the chunk buffers
-        rows = max(1, min(num_draws, _CHUNK_BUDGET // omega))
-        chunks = [(rows, omega)] * (1 if rows >= num_draws else 2)
-        # at most one tile per thread and per tile of a chunk is in flight
-        height, width = _tile_shape(rows, groups[0].stop)
-        tiles = min(jobs, -(-rows // height) * -(-groups[0].stop // width))
-        drawn = rows * omega * len(chunks)
-        held = drawn if len(chunks) == 1 and len(groups) > 1 else 0
-        store_size = omega * groups[0].stop
-        size = store_size + max(space_size * spaces + held, height * width * tiles + drawn)
-        if len(self._memory) < size:
+    def take(self, region: str, shapes) -> list:
+        """Consecutive arrays of ``shapes`` from the front of ``region``;
+        they overwrite what an earlier ``take`` of the region handed out."""
+        size = sum(math.prod(shape) for shape in shapes)
+        if len(self._regions[region]) < size:
             # give the old memory back before taking the new
-            self._memory = np.empty(0)
-            self._memory = np.empty(size)
-        front = self._memory[store_size:]
-        return _Plan(
-            groups,
-            self._memory[:store_size].reshape(omega, groups[0].stop),
-            [tuple(_carve(front[i * space_size :], space)) for i in range(spaces)],
-            _carve(self._memory[size - drawn :], chunks),
-            _carve(front, [(height * width,)] * tiles),
-        )
+            self._regions[region] = np.empty(0)
+            self._regions[region] = np.empty(size)
+        memory = self._regions[region]
+        out = []
+        for shape in shapes:
+            size = math.prod(shape)
+            out.append(memory[:size].reshape(shape))
+            memory = memory[size:]
+        return out
 
 
 def _usable_cores() -> int:
@@ -327,10 +279,10 @@ def _fold_chunk(source, spare, batch_size, store, group, cols):
     return d, scale, sided, peak
 
 
-def _fold(source, batch_size: int, group: slice, store: np.ndarray, workspaces, imap):
+def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, jobs, imap):
     """One pass over the estimate columns of ``group`` of ``source``,
-    chunk by chunk in canonical order; ``imap`` runs at most one chunk
-    per workspace of ``workspaces`` at a time.
+    chunk by chunk in canonical order; ``imap`` runs the chunks on
+    ``jobs`` threads.
 
     Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
@@ -341,10 +293,9 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, workspaces, 
     ``store``; the fold moves them left past the columns dropped before
     them, so the kept sums end up at the front of ``store``.
 
-    The workspaces, each as wide as the widest chunk, come from the
-    call's ``Scratch``, so every group's fold reuses the memory of the
-    first; the group's draws take the same memory for their multiplier
-    chunks and coordinate tiles.
+    Each chunk in flight has one workspace, as wide as the widest chunk,
+    taken from the ``work`` region of ``scratch``: every group's fold
+    reuses the memory of the first.
     """
     width = group.stop - group.start
     diag = np.empty(width)
@@ -353,7 +304,11 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, workspaces, 
     statistic = -math.inf
     kept = 0
     slices = _column_slices(source.n_rows, group)
-    spare = deque(workspaces)
+    space = source.workspace_shapes(slices[0].stop - slices[0].start if slices else 0)
+    spaces = min(jobs, len(slices))
+    buffers = scratch.take("work", space * spaces)
+    n = len(space)
+    spare = deque(tuple(buffers[i * n : i * n + n]) for i in range(spaces))
     work = partial(_fold_chunk, source, spare, batch_size, store, group)
     for cols, (d, chunk_scale, sided, peak) in zip(slices, imap(work, slices)):
         lo = cols.start - group.start
@@ -368,21 +323,31 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, workspaces, 
     return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
 
 
-def _folds(source, batch_size: int, plan: _Plan, imap=map):
-    """Fold the estimate columns of ``source`` one column group of
-    ``plan`` at a time, yielding each group's ``_Fold``.
+def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
+    """One call per column group of ``source``, in order, that folds the
+    group (``_fold``) and returns its ``_Fold``.
 
     ``source`` has ``n_rows``, ``one_sided``, ``workspace_shapes(width)``
     and ``block(cols, work)``: the column-major values of the column
     slice ``cols``, built in a workspace ``work`` of arrays of those
     shapes, which the fold overwrites.
 
-    Every group's batch sums go to the plan's one omega x W store, so
-    only one group's sums are alive, and a fold's ``sums`` hold only
-    until the next group is folded.
+    Every group's batch sums go to one omega x W store, the ``store``
+    region of ``scratch``, so only one group's sums are alive, and a
+    fold's ``sums`` hold only until the next group is folded.
     """
-    for group in plan.groups:
-        yield _fold(source, batch_size, group, plan.store, plan.workspaces, imap)
+    omega = source.n_rows // batch_size
+    if omega < 2:
+        raise ValueError(
+            f"{source.n_rows} rows with batch size {batch_size} leave {omega} "
+            "batches; need at least 2"
+        )
+    groups = _column_groups(omega, len(source.one_sided))
+    (store,) = scratch.take("store", [(omega, groups[0].stop)])
+    return [
+        partial(_fold, source, batch_size, group, store, scratch, jobs, imap)
+        for group in groups
+    ]
 
 
 def _require_columns(kept: int) -> int:
@@ -400,15 +365,21 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _chunk_rows(num_draws: int, omega: int) -> int:
+    """Draws per multiplier chunk: at most ``_CHUNK_BUDGET`` multipliers
+    of ``omega`` batches, and at least one draw."""
+    return max(1, min(num_draws, _CHUNK_BUDGET // omega))
+
+
 def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers, buffers):
-    """Yield (draw slice, multiplier chunk) pairs of as many draws as
-    ``buffers`` (a plan's ``chunks``) have rows.
+    """Yield (draw slice, multiplier chunk) pairs of ``_chunk_rows``
+    draws each.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
     ``seed`` is a ``SeedSequence``, so every column group draws the same
-    stream.  The chunks are drawn into ``buffers`` in turn, so a chunk is
-    overwritten when the one after next is drawn.
+    stream.  The chunks are drawn into ``buffers``, of one chunk each, in
+    turn, so a chunk is overwritten when ``len(buffers)`` more are drawn.
     """
     omega = fold.sums.shape[0]
     rng = np.random.default_rng(seed)
@@ -419,7 +390,7 @@ def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers, buffers):
                 f"multipliers must have shape {(num_draws, omega)}, "
                 f"got {multipliers.shape}"
             )
-    chunk = len(buffers[0])
+    chunk = _chunk_rows(num_draws, omega)
     for i, start in enumerate(range(0, num_draws, chunk)):
         take = min(chunk, num_draws - start)
         if multipliers is None:
@@ -488,65 +459,76 @@ def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
         spare.append(buffer)
 
 
-def _draws(fold: _Fold, num_draws: int, seed, plan: _Plan, multipliers=None, imap=map):
+def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, multipliers=None, imap=map):
     """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
-    peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap``)
-    combine by ``max``, which is exact.
+    peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap`` on
+    ``jobs`` threads) combine by ``max``, which is exact.
 
     The calling thread draws the next chunk while the threads work on
     the current one, and takes every peak of a chunk before it draws the
-    one after next, so the plan's two chunk buffers serve any thread
-    count; each tile in flight has one of its tile buffers.
+    one after next, so two chunk buffers serve any thread count (one
+    when the stream is one chunk, none when ``multipliers`` are given).
+    Each tile in flight has a tile buffer, at most one per thread and
+    per tile of a chunk.  The chunks and tiles come from the ``work``
+    region of ``scratch``.
     """
+    omega = fold.sums.shape[0]
+    size = _chunk_rows(num_draws, omega)
+    chunks = 0 if multipliers is not None else 1 if size == num_draws else 2
+    height, width = _tile_shape(size, fold.k_effective)
+    tiles = [(height * width,)] * min(jobs, len(_coordinate_tiles(fold, size)))
+    buffers = scratch.take("work", [(size, omega)] * chunks + tiles)
     out = np.full(num_draws, -np.inf)
-    chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, plan.chunks)
-    spare = deque(plan.tiles)
-    chunk = next(chunks, None)
+    stream = _multiplier_chunks(fold, num_draws, seed, multipliers, buffers[:chunks])
+    spare = deque(buffers[chunks:])
+    chunk = next(stream, None)
     while chunk is not None:
         draws, e = chunk
         tiles = _coordinate_tiles(fold, len(e))
         peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
-        chunk = next(chunks, None)
+        chunk = next(stream, None)
         for (rows, _), tile_peaks in zip(tiles, peaks):
             np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
     return out
 
 
-def _bootstrap(folds, num_draws: int, seed, plan: _Plan, multipliers=None, imap=map):
+def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, imap=map):
     """The statistic, the sup-norm draws, the kept columns and all
-    columns of the column groups ``folds``, drawn in the memory of
-    ``plan``.
+    columns of the column groups of ``folds`` (from ``_folds``), each
+    group folded and then drawn in the memory of ``scratch``.
 
     Every group's draws replay the multiplier stream from ``seed`` with
-    a fresh generator, except that a stream of one chunk (one buffer) is
-    drawn once and kept for every group (the threads wait while the
-    calling thread draws a chunk).  A group with no kept column draws
-    nothing.  The groups' statistics and draws combine by ``max``, which
-    is exact and independent of order.
+    a fresh generator, except that when there is more than one group, a
+    stream of one chunk is drawn once into the ``stream`` region and
+    kept for every group (the threads wait while the calling thread
+    draws a chunk).  A group with no kept column draws nothing.  The
+    groups' statistics and draws combine by ``max``, which is exact and
+    independent of order.
     """
     seed = _seed_sequence(seed)
     statistic = -math.inf
     draws = np.full(num_draws, -np.inf)
     kept = columns = 0
-    for fold in folds:
+    for fold_group in folds:
+        fold = fold_group()
         statistic = max(statistic, fold.statistic)
         kept += fold.k_effective
         columns += len(fold.diag)
         if fold.k_effective and num_draws:
-            if multipliers is None and len(plan.chunks) == 1:
-                stream = _multiplier_chunks(fold, num_draws, seed, None, plan.chunks)
-                multipliers = next(stream)[1]
-            np.maximum(
-                draws, _draws(fold, num_draws, seed, plan, multipliers, imap), out=draws
-            )
+            omega = fold.sums.shape[0]
+            one_chunk = _chunk_rows(num_draws, omega) == num_draws
+            if multipliers is None and len(folds) > 1 and one_chunk:
+                held = scratch.take("stream", [(num_draws, omega)])
+                multipliers = next(_multiplier_chunks(fold, num_draws, seed, None, held))[1]
+            peaks = _draws(fold, num_draws, seed, scratch, jobs, multipliers, imap)
+            np.maximum(draws, peaks, out=draws)
     return statistic, draws, _require_columns(kept), columns
 
 
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
     """Per-column variance proxies from batch sums: the diagonal of the
     batched covariance estimator."""
-    plan = Scratch().plan(seq, batch_size, 1, 0)
-    return np.concatenate([fold.diag for fold in _folds(seq, batch_size, plan)])
+    return np.concatenate([fold().diag for fold in _folds(seq, batch_size, Scratch())])
 
 
 def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
@@ -557,8 +539,8 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
     contribute signed values, so only positive deviations count against
     the null.
     """
-    plan = Scratch().plan(seq, batch_size, 1, 0)
-    return _bootstrap(_folds(seq, batch_size, plan), 0, None, plan)[0]
+    scratch = Scratch()
+    return _bootstrap(_folds(seq, batch_size, scratch), 0, None, scratch)[0]
 
 
 def multiplier_draws(
@@ -575,9 +557,9 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).  ``multipliers`` overrides the random draw for testing.
     """
-    plan = Scratch().plan(seq, batch_size, 1, num_draws)
-    folds = _folds(seq, batch_size, plan)
-    return _bootstrap(folds, num_draws, seed, plan, multipliers)[1]
+    scratch = Scratch()
+    folds = _folds(seq, batch_size, scratch)
+    return _bootstrap(folds, num_draws, seed, scratch, multipliers=multipliers)[1]
 
 
 def bootstrap_coordinates(
@@ -595,12 +577,15 @@ def bootstrap_coordinates(
     Conditionally on the data, every coordinate has variance 1.
     """
     seed = _seed_sequence(seed)
-    plan = Scratch().plan(seq, batch_size, 1, num_draws)
+    scratch = Scratch()
     groups = []
-    for fold in _folds(seq, batch_size, plan):
+    for fold_group in _folds(seq, batch_size, scratch):
+        fold = fold_group()
         out = np.empty((num_draws, fold.k_effective))
         if fold.k_effective:
-            chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, plan.chunks)
+            omega = fold.sums.shape[0]
+            buffer = scratch.take("work", [(_chunk_rows(num_draws, omega), omega)])
+            chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, buffer)
             for draws, e in chunks:
                 for rows, cols in _coordinate_tiles(fold, len(e)):
                     _coordinates(fold, e[rows], cols, out[draws][rows, cols])
@@ -609,15 +594,19 @@ def bootstrap_coordinates(
     return np.hstack(groups)
 
 
+def _quantile_index(num_draws: int, alpha: float) -> int:
+    """Position in sorted draws of the ceil((1-alpha) * E)-th order
+    statistic, clamped into range."""
+    return min(max(int(math.ceil((1.0 - alpha) * num_draws)), 1), num_draws) - 1
+
+
 def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
     """Upper empirical quantile: the ceil((1-alpha) * E)-th order
     statistic, clamped into range."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     draws = np.sort(np.asarray(draws, dtype=float))
-    e = draws.shape[0]
-    idx = min(max(int(math.ceil((1.0 - alpha) * e)), 1), e)
-    return float(draws[idx - 1])
+    return float(draws[_quantile_index(draws.shape[0], alpha)])
 
 
 def _fold_and_draw(
@@ -637,10 +626,9 @@ def _fold_and_draw(
     # changes no result, and tiny or huge units neither underflow nor overflow
     x = source.x
     np.ldexp(x, -np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1], out=x)
-    plan = scratch.plan(source, config.batch_size, jobs, config.num_multipliers)
     with _ordered_map(jobs) as imap:
-        folds = _folds(source, config.batch_size, plan, imap)
-        return _bootstrap(folds, config.num_multipliers, mult_ss, plan, imap=imap)
+        folds = _folds(source, config.batch_size, scratch, jobs, imap)
+        return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, imap=imap)
 
 
 def statistic_and_draws(

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from functools import partial
 
@@ -32,7 +32,7 @@ from ._svg import size_plot
 from .bootstrap import (
     BootstrapConfig,
     Scratch,
-    quantile_from_draws,
+    _quantile_index,
     run_test,
     statistic_and_draws,
 )
@@ -294,28 +294,27 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _simulate_rep(cov, system, n, config, entropy, scratch, rep):
-    """One replication: draw data, return the statistic and its draws,
-    with the bootstrap's large buffers taken from ``scratch``.
-
-    The data come from ``SeedSequence(entropy, spawn_key=(rep, 0))`` and
-    the test from ``SeedSequence(entropy, spawn_key=(rep, 1))``, split
-    like ``run_test`` splits its seed.  ``treegof test --seed`` takes an
-    integer, so a replication can be rerun through the Python API with
-    these seed sequences, not from the command line.
-    """
-    data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
-    test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
-    x = sample(cov, n, data_ss).data
-    return statistic_and_draws(x, system, replace(config, seed=test_ss), scratch)
-
-
 def _simulate_block(cov, system, n, config, entropy, reps):
-    """The replications ``reps`` in order, through one bootstrap
-    ``Scratch``: its buffers are allocated once per block, not once per
-    replication."""
-    run_rep = partial(_simulate_rep, cov, system, n, config, entropy, Scratch())
-    return list(map(run_rep, reps))
+    """The statistic and draws of each replication of ``reps``, in
+    order, through one bootstrap ``Scratch``: its buffers are allocated
+    once per block, not once per replication.
+
+    Replication ``rep`` draws its data from ``SeedSequence(entropy,
+    spawn_key=(rep, 0))`` and its test from ``SeedSequence(entropy,
+    spawn_key=(rep, 1))``, split like ``run_test`` splits its seed.
+    ``treegof test --seed`` takes an integer, so a replication can be
+    rerun through the Python API with these seed sequences, not from the
+    command line.
+    """
+    scratch = Scratch()
+    results = []
+    for rep in reps:
+        data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
+        test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+        x = sample(cov, n, data_ss).data
+        test_config = replace(config, seed=test_ss)
+        results.append(statistic_and_draws(x, system, test_config, scratch))
+    return results
 
 
 def cmd_simulate(args) -> int:
@@ -331,27 +330,33 @@ def cmd_simulate(args) -> int:
         _simulate_block, covariance_from_factor(params), system, args.n,
         _bootstrap_config(args), args.seed,
     )
-    if args.jobs > 1:
-        from multiprocessing import get_context
+    blocks = [range(args.reps)]
+    with ExitStack() as stack:
+        imap = map
+        if args.jobs > 1:
+            from multiprocessing import get_context
 
-        # about sixteen blocks of consecutive replications per worker,
-        # handed out one at a time, so that a worker slowed by other
-        # load takes fewer and the workers finish within one short block
-        # of each other (``Pool.map``'s four chunks per worker left them
-        # up to 0.6 s apart on a 400-replication run)
-        size = -(-args.reps // (16 * args.jobs))
-        blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
-        with get_context("spawn").Pool(args.jobs) as pool:
-            done = pool.map(run_block, blocks, chunksize=1)
-        results = [r for block in done for r in block]
-    else:
-        results = run_block(range(args.reps))
-
-    rejects = np.zeros((len(alphas), args.reps), dtype=bool)
-    for rep, (stat, draws) in enumerate(results):
-        for i, alpha in enumerate(alphas):
-            rejects[i, rep] = stat > quantile_from_draws(draws, alpha)
-    sizes = rejects.mean(axis=1)
+            # about sixteen blocks of consecutive replications per worker,
+            # handed out one at a time, so that a worker slowed by other
+            # load takes fewer and the workers finish within one short
+            # block of each other (``Pool.map``'s four chunks per worker
+            # left them up to 0.6 s apart on a 400-replication run)
+            size = -(-args.reps // (16 * args.jobs))
+            blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
+            imap = stack.enter_context(get_context("spawn").Pool(args.jobs)).imap
+        # each block is copied out as it arrives, so the draws are held once
+        stats = np.empty(args.reps)
+        draws = np.empty((args.reps, args.multipliers))
+        for reps, results in zip(blocks, imap(run_block, blocks)):
+            for rep, (stat, rep_draws) in zip(reps, results):
+                stats[rep] = stat
+                draws[rep] = rep_draws
+    # every replication's draws sorted once, for the quantiles of every level
+    draws.sort(axis=1)
+    sizes = [
+        (stats > draws[:, _quantile_index(args.multipliers, alpha)]).mean()
+        for alpha in alphas
+    ]
 
     rows = [(repr(a), _fmt(s), args.reps) for a, s in zip(alphas, sizes)]
     _write_rows(args.out, ("alpha", "empirical_size", "reps"), rows)

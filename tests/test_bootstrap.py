@@ -48,9 +48,9 @@ from treegof.tree import ConstraintSystem, enumerate_constraints
 
 
 def _folds(source, batch_size, imap=map, jobs=1):
-    # the folds of one call with a fresh scratch of its own
-    plan = Scratch().plan(source, batch_size, jobs, 0)
-    return btmod._folds(source, batch_size, plan, imap)
+    # the folds of one call with a fresh scratch of its own, one group at
+    # a time
+    return (fold() for fold in btmod._folds(source, batch_size, Scratch(), jobs, imap))
 
 
 def _seq(values, one_sided=None):
@@ -702,15 +702,17 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
         with btmod._ordered_map(jobs) as imap:
             tracemalloc.start()
             try:
-                # the draws' scratch is traced: its tile buffers, one per
-                # thread and tile of a chunk, and its chunks.  Its store
-                # goes unused, the same at every thread count
-                plan = Scratch().plan(seq, 2, jobs, 1000)
-                tiles[jobs] = len(plan.tiles)
-                draws[jobs] = btmod._draws(fold, 1000, 3, plan, imap=imap)
+                # the draws' scratch is traced: its chunks and its tile
+                # buffers, one per thread and tile of a chunk
+                scratch = Scratch()
+                taken = _recorded(scratch)
+                draws[jobs] = btmod._draws(fold, 1000, 3, scratch, jobs, imap=imap)
                 _, peaks[jobs] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        ((region, buffers),) = taken
+        assert region == "work"
+        tiles[jobs] = sum(buffer.ndim == 1 for buffer in buffers)
     np.testing.assert_array_equal(draws[16], draws[1])
     assert peaks[16] < peaks[1] + chunk_bytes / 2, {j: p / 2**20 for j, p in peaks.items()}
     # a tile buffer per thread would be 16 on a 16-core host, where the
@@ -786,22 +788,34 @@ def _scratch_cases():
     ]
 
 
-def _assert_disjoint(plan):
-    # what may be in use at the same time never shares memory: the store
-    # with anything, one thread's workspace or tile with another's, the
-    # two multiplier chunks, tiles with chunks, and a stream kept across
-    # groups with the workspaces of the later groups' folds
-    spaces = [list(space) for space in plan.workspaces]
-    tiles = [[tile] for tile in plan.tiles]
-    chunks = [[chunk] for chunk in plan.chunks]
-    pairs = [([plan.store], b) for b in spaces + tiles + chunks]
-    for buffers in (spaces, tiles, chunks):
+def _recorded(scratch):
+    """The (region, buffers) of every ``take`` from ``scratch`` from now
+    on, in order."""
+    taken = []
+    take = scratch.take
+
+    def record(region, shapes):
+        buffers = take(region, shapes)
+        taken.append((region, buffers))
+        return buffers
+
+    scratch.take = record
+    return taken
+
+
+def _assert_disjoint(taken):
+    # what may be in use at the same time never shares memory: the
+    # store, a kept stream and the work region with each other, and the
+    # buffers of one take (one thread's workspace or tile with another's,
+    # the two multiplier chunks, chunks with tiles) with each other
+    pairs = []
+    for (region_a, a), (region_b, b) in itertools.combinations(taken, 2):
+        if region_a != region_b:
+            pairs += itertools.product(a, b)
+    for _, buffers in taken:
         pairs += itertools.combinations(buffers, 2)
-    pairs += itertools.product(tiles, chunks)
-    if len(plan.chunks) == 1 and len(plan.groups) > 1:
-        pairs += itertools.product(chunks, spaces)
-    for a, b in pairs:
-        assert not any(np.shares_memory(x, y) for x in a for y in b)
+    for x, y in pairs:
+        assert not np.shares_memory(x, y)
 
 
 def test_reused_scratch_matches_unshared_buffers_bit_for_bit():
@@ -812,19 +826,33 @@ def test_reused_scratch_matches_unshared_buffers_bit_for_bit():
     shared = Scratch()
     for jobs in (1, 2):
         for name, (data, system, config), budgets in _scratch_cases():
+            scratch = Scratch()
+            taken = _recorded(scratch)
             with mock.patch.multiple(btmod, **budgets):
                 expect = _unshared_result(data, system, config)
                 reused = btmod._fold_and_draw(data, system, config, jobs, shared)
-                fresh = btmod._fold_and_draw(data, system, config, jobs, Scratch())
-                plan = Scratch().plan(
-                    column_source(data, system, config.mode), 3, jobs, config.num_multipliers
-                )
+                fresh = btmod._fold_and_draw(data, system, config, jobs, scratch)
             for got in (reused, fresh):
                 assert (got[0], got[2], got[3]) == (expect[0], expect[2], expect[3]), name
                 np.testing.assert_array_equal(got[1], expect[1], err_msg=name)
-            assert (len(plan.groups) > 2) == ("_SUMS_BUDGET" in budgets), name
-            _assert_disjoint(plan)
-            assert len(plan.chunks) == (2 if name.endswith("streamed") else 1), name
+            _assert_disjoint(taken)
+            ((region, (store,)), *rest) = taken
+            assert region == "store"
+            groups = -(-expect[3] // store.shape[1])
+            assert (groups > 2) == ("_SUMS_BUDGET" in budgets), name
+            # a stream of one chunk is held across groups, and then the
+            # draws take no chunk of their own
+            streamed = name.endswith("streamed")
+            held = [region for region, _ in rest if region == "stream"]
+            assert len(held) == (groups > 1 and not streamed), name
+            work = [buffers for region, buffers in rest if region == "work"]
+            draws = [buffers for buffers in work if any(b.ndim == 1 for b in buffers)]
+            chunks = {sum(buffer.ndim == 2 for buffer in buffers) for buffers in draws}
+            assert chunks == {2 if streamed else 0 if held else 1}, name
+            if name == "tall, streamed":
+                # the work region grows between the fold and the draws
+                fold_size, draw_size = (sum(b.size for b in buffers) for buffers in work)
+                assert draw_size > fold_size, name
             if name == "all, constant column":
                 assert expect[3] - expect[2] == 20
 

@@ -359,7 +359,6 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
         plain = EstimateSequence(expected, source.one_sided)
         for jobs in (1, 2):
             with btmod._ordered_map(jobs) as imap:
-                plans = [Scratch().plan(s, 3, jobs, 0) for s in (source, plain)]
-                _same_folds(
-                    btmod._folds(source, 3, plans[0], imap), btmod._folds(plain, 3, plans[1])
-                )
+                got = btmod._folds(source, 3, Scratch(), jobs, imap)
+                expected = btmod._folds(plain, 3, Scratch())
+                _same_folds((fold() for fold in got), (fold() for fold in expected))
