@@ -476,8 +476,8 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, multipliers=None,
     size = _chunk_rows(num_draws, omega)
     chunks = 0 if multipliers is not None else 1 if size == num_draws else 2
     height, width = _tile_shape(size, fold.k_effective)
-    tiles = [(height * width,)] * min(jobs, len(_coordinate_tiles(fold, size)))
-    buffers = scratch.take("work", [(size, omega)] * chunks + tiles)
+    in_flight = min(jobs, len(_coordinate_tiles(fold, size)))
+    buffers = scratch.take("work", [(size, omega)] * chunks + [(height * width,)] * in_flight)
     out = np.full(num_draws, -np.inf)
     stream = _multiplier_chunks(fold, num_draws, seed, multipliers, buffers[:chunks])
     spare = deque(buffers[chunks:])
