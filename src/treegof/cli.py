@@ -39,6 +39,8 @@ from .bootstrap import (
 from .metric import is_t_induced
 from .model import (
     TreeModelParams,
+    _cholesky,
+    _draw,
     covariance_from_factor,
     covariance_from_tree,
     sample,
@@ -49,6 +51,15 @@ from .tree import KINDS, LatentTree, TreeError, enumerate_constraints, load_tree
 _FLOAT = ".17g"
 # a start:stop:step alpha grid with more levels is refused as malformed
 _MAX_ALPHA_LEVELS = 10_000
+# how ``simulate --jobs N`` starts its workers.  A forked worker starts
+# with numpy, treegof and the caller's main module already imported; a
+# spawned one imports them again before its first replication.  Windows
+# has no fork, and on macOS it is unsafe with system frameworks.  Named
+# even on Linux, where Python 3.14's default is forkserver, which starts
+# a fresh interpreter too.  Forking is safe because no thread of
+# treegof's runs then (``bootstrap._ordered_map`` joins its threads),
+# and OpenBLAS stops its own threads around a fork.
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 def _fmt(x) -> str:
@@ -297,7 +308,11 @@ def cmd_test(args) -> int:
 def _simulate_block(cov, system, n, config, entropy, reps):
     """The statistic and draws of each replication of ``reps``, in
     order, through one bootstrap ``Scratch``: its buffers are allocated
-    once per block, not once per replication.
+    once per block, not once per replication, and so are the
+    covariance's validation and Cholesky factor.  They are not computed
+    in the parent of a ``--jobs N`` run: there the first LAPACK call
+    would fault in about 0.9 MB of library code, and with forked workers
+    the parent's RSS is the run's peak.
 
     Replication ``rep`` draws its data from ``SeedSequence(entropy,
     spawn_key=(rep, 0))`` and its test from ``SeedSequence(entropy,
@@ -306,12 +321,13 @@ def _simulate_block(cov, system, n, config, entropy, reps):
     rerun through the Python API with these seed sequences, not from the
     command line.
     """
+    chol = _cholesky(cov)
     scratch = Scratch()
     results = []
     for rep in reps:
         data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
         test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
-        x = sample(cov, n, data_ss).data
+        x = _draw(chol, n, data_ss)
         test_config = replace(config, seed=test_ss)
         results.append(statistic_and_draws(x, system, test_config, scratch))
     return results
@@ -343,7 +359,7 @@ def cmd_simulate(args) -> int:
             # left them up to 0.6 s apart on a 400-replication run)
             size = -(-args.reps // (16 * args.jobs))
             blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
-            imap = stack.enter_context(get_context("spawn").Pool(args.jobs)).imap
+            imap = stack.enter_context(get_context(_START_METHOD).Pool(args.jobs)).imap
         # each block is copied out as it arrives, so the draws are held once
         stats = np.empty(args.reps)
         draws = np.empty((args.reps, args.multipliers))

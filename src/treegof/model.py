@@ -159,6 +159,23 @@ def _validate_covariance(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _cholesky(cov) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``, after ``_validate_covariance``."""
+    return np.linalg.cholesky(_validate_covariance(cov))
+
+
+def _draw(chol: np.ndarray, n: int, seed) -> np.ndarray:
+    """n mean-zero Gaussian rows with covariance ``chol @ chol.T``: the
+    Cholesky factor applied to ``numpy.random.default_rng(seed)``'s
+    standard normals.  ``sample`` and every ``simulate`` replication
+    draw through this one function, so their rows are bit-identical for
+    one seed."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    z = np.random.default_rng(seed).standard_normal((n, chol.shape[0]))
+    return z @ chol.T
+
+
 def sample(cov, n: int, seed, names=None) -> SampleMatrix:
     """Draw n mean-zero Gaussian rows with the given covariance.
 
@@ -172,18 +189,14 @@ def sample(cov, n: int, seed, names=None) -> SampleMatrix:
     ValueError
         For non-positive-definite or near-singular covariance.
     """
-    cov = _validate_covariance(cov)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = cov.shape[0]
+    chol = _cholesky(cov)
+    data = _draw(chol, n, seed)
+    m = chol.shape[0]
     if names is None:
         names = tuple(f"x{i}" for i in range(1, m + 1))
     if len(names) != m:
         raise ValueError("names length does not match covariance size")
-    chol = np.linalg.cholesky(cov)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, m))
-    return SampleMatrix(z @ chol.T, tuple(names))
+    return SampleMatrix(data, tuple(names))
 
 
 def setup_params(setup: int, m: int, seed) -> OneFactorParams:

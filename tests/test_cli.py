@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import mixed_tree, random_latent_tree, reference_listing
 import treegof
 import treegof.cli as climod
+import treegof.model
 import treegof.tree
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
@@ -613,13 +615,14 @@ def test_simulate_single_rep_sizes_are_binary(tmp_path, capsys):
     assert set(float(r[1]) for r in rows) <= {0.0, 1.0}
 
 
-def test_simulate_parallel_matches_serial(tmp_path, capsys):
+def test_simulate_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     # 7 replications do not split evenly over 2 or 3 workers.  The
     # workers take blocks of consecutive replications, about sixteen per
     # worker: 33 replications over 2 workers are sixteen blocks of 2 and
-    # a last block of 1.  The spawn
-    # workers of `python -m treegof.cli` import its __main__ again, which
-    # no in-process main() call covers
+    # a last block of 1.  Workers are forked on Linux and spawned
+    # elsewhere; the spawn case below keeps the macOS and Windows path
+    # covered on Linux.  The `python -m treegof.cli` case runs the module
+    # entry point, whose spawned workers import its __main__ again
     base = [
         "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "7",
         "--multipliers", "100", "--seed", "11", "--alpha-grid", "0.05,0.1,0.3",
@@ -627,15 +630,19 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
     # at alpha 0.99 almost every replication rejects, so a lost
     # replication would show in the sizes
     short_last = base[:8] + ["33"] + base[9:-1] + ["0.05,0.5,0.99"]
-    outputs, short = {}, {}
-    for jobs in ("1", "2", "3"):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
-        outputs[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
-    for jobs in ("1", "2"):
-        out = tmp_path / f"short{jobs}.csv"
-        assert main(short_last + ["--jobs", jobs, "--out", str(out)]) == 0
-        short[jobs] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
+
+    def run(argv, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        # the pool's workers are gone once main returns
+        assert multiprocessing.active_children() == []
+        return out.read_bytes(), out.with_suffix(".svg").read_bytes()
+
+    outputs = {jobs: run(base + ["--jobs", jobs], f"jobs{jobs}") for jobs in ("1", "2", "3")}
+    short = {jobs: run(short_last + ["--jobs", jobs], f"short{jobs}") for jobs in ("1", "2")}
+    with monkeypatch.context() as m:
+        m.setattr(climod, "_START_METHOD", "spawn")
+        spawned = run(base + ["--jobs", "2"], "spawn2")
     capsys.readouterr()
     assert short["2"] == short["1"]
     assert short["1"][0].endswith(b"0.99,1,33\n")
@@ -649,7 +656,29 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert outputs["2"] == outputs["1"]
     assert outputs["3"] == outputs["1"]
+    assert spawned == outputs["1"]
     assert (out.read_bytes(), out.with_suffix(".svg").read_bytes()) == outputs["1"]
+
+
+def test_simulate_validates_covariance_once_per_block(tmp_path, capsys, monkeypatch):
+    # every replication draws from the one covariance of the run, so it
+    # is validated and factored once per block of replications, not once
+    # per replication; --jobs 1 runs one block
+    calls = []
+    validate = treegof.model._validate_covariance
+
+    def counting(cov):
+        calls.append(cov.shape)
+        return validate(cov)
+
+    monkeypatch.setattr(treegof.model, "_validate_covariance", counting)
+    assert main([
+        "simulate", "--setup", "2", "--m", "5", "--n", "40", "--reps", "6",
+        "--multipliers", "50", "--seed", "4", "--alpha-grid", "0.05",
+        "--jobs", "1", "--out", str(tmp_path / "sizes.csv"),
+    ]) == 0
+    capsys.readouterr()
+    assert calls == [(5, 5)]
 
 
 def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch):

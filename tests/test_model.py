@@ -15,6 +15,8 @@ from conftest import (
 from treegof.model import (
     OneFactorParams,
     TreeModelParams,
+    _cholesky,
+    _draw,
     covariance_from_factor,
     covariance_from_tree,
     sample,
@@ -166,6 +168,21 @@ def test_sample_deterministic_and_shaped():
 
     empty = sample(cov, 0, seed=1)
     assert empty.data.shape == (0, 5)
+
+
+def test_simulate_draw_helper_matches_sample_bit_for_bit():
+    # simulate draws each replication through _draw with the factor
+    # computed once per block; generate and sample must keep their bytes
+    cov = covariance_from_factor(setup_params(2, 10, seed=3))
+    chol = _cholesky(cov)
+    for seed in (0, 5, np.random.SeedSequence(entropy=7, spawn_key=(12, 0))):
+        rows = _draw(chol, 500, seed)
+        reference = np.random.default_rng(seed).standard_normal((500, 10))
+        reference = reference @ np.linalg.cholesky(cov).T
+        assert rows.tobytes() == sample(cov, 500, seed).data.tobytes()
+        assert rows.tobytes() == reference.tobytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        _draw(chol, -1, 0)
 
 
 def test_sample_matches_identity_covariance():
