@@ -684,10 +684,11 @@ def hotelling_statistic(data, constraints: ConstraintSystem) -> HotellingResult:
     points of the model the plug-in covariance is rank-deficient in
     population, and sampling noise lifts the null eigenvalues to order
     1/n, so a cutoff of that order is needed to recover the population
-    rank.  The cutoff is relative to the largest eigenvalue, so the
-    result is invariant to a common scale of the data only: a variable
-    in far smaller or larger units lowers the rank, down to 0 with a
-    statistic of 0.0 and no error.  Standardise the variables first.
+    rank.  The cutoff is relative to the largest eigenvalue, so each
+    variable is first divided by its root mean square (the raw second
+    moment, which the estimates use, not the standard deviation): the
+    statistic and rank do not depend on each variable's scale or sign.
+    A variable that is all zeros raises ``ValueError``.
 
     Returns the statistic, the column count as nominal degrees of
     freedom, and the numerical rank actually used.
@@ -702,10 +703,15 @@ def hotelling_statistic(data, constraints: ConstraintSystem) -> HotellingResult:
         raise ValueError("constraint system has no equality columns")
     if n <= k_cols:
         raise ValueError(f"need n > {k_cols} rows for {k_cols} columns, got {n}")
-    # a power-of-two scale to a largest entry in [0.5, 1) rounds nothing
-    # and keeps v_hat, of degree 8 in the data, from overflowing or
-    # underflowing; the statistic and rank do not depend on it
-    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    # a power-of-two scale of each variable to a largest entry in
+    # [0.5, 1) rounds nothing, so its root mean square neither overflows
+    # nor underflows; after the division v_hat, of degree 8 in the data,
+    # does not either
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
+    rms = np.sqrt(np.mean(x * x, axis=0))
+    if not rms.all():
+        raise ValueError(f"data column {int(np.argmin(rms))} is all zeros")
+    x /= rms
     s = x.T @ x / n
     tau = constraints.equality_residuals(s)
 

@@ -305,14 +305,19 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _simulate_block(cov, system, n, config, entropy, reps):
-    """The statistic and draws of each replication of ``reps``, in
-    order, through one bootstrap ``Scratch``: its buffers are allocated
-    once per block, not once per replication, and so are the
-    covariance's validation and Cholesky factor.  They are not computed
-    in the parent of a ``--jobs N`` run: there the first LAPACK call
-    would fault in about 0.9 MB of library code, and with forked workers
-    the parent's RSS is the run's peak.
+def _simulate_block(cov, system, n, config, entropy, levels, reps):
+    """The statistic and the order statistics at positions ``levels`` of
+    the sorted draws of each replication of ``reps``, in order.  Each
+    replication's draws are sorted in place once, here in the worker, so
+    only these few numbers reach the parent, which never holds a
+    replications x draws array.
+
+    The replications run through one bootstrap ``Scratch``: its buffers
+    are allocated once per block, not once per replication, and so are
+    the covariance's validation and Cholesky factor.  They are not
+    computed in the parent of a ``--jobs N`` run: there the first LAPACK
+    call would fault in about 0.9 MB of library code, and with forked
+    workers the parent's RSS is the run's peak.
 
     Replication ``rep`` draws its data from ``SeedSequence(entropy,
     spawn_key=(rep, 0))`` and its test from ``SeedSequence(entropy,
@@ -329,7 +334,9 @@ def _simulate_block(cov, system, n, config, entropy, reps):
         test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
         x = _draw(chol, n, data_ss)
         test_config = replace(config, seed=test_ss)
-        results.append(statistic_and_draws(x, system, test_config, scratch))
+        stat, draws = statistic_and_draws(x, system, test_config, scratch)
+        draws.sort()
+        results.append((stat, draws[levels]))
     return results
 
 
@@ -339,12 +346,16 @@ def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     alphas = _parse_alpha_grid(args.alpha_grid)
+    # the config first, so that it refuses a draw count below 1, for
+    # which ``_quantile_index`` gives -1 and no error
+    config = _bootstrap_config(args)
+    levels = [_quantile_index(config.num_multipliers, alpha) for alpha in alphas]
     system = enumerate_constraints(_star_tree(args.m))
     params_ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 2))
     params = setup_params(args.setup, args.m, params_ss)
     run_block = partial(
         _simulate_block, covariance_from_factor(params), system, args.n,
-        _bootstrap_config(args), args.seed,
+        config, args.seed, levels,
     )
     blocks = [range(args.reps)]
     with ExitStack() as stack:
@@ -360,19 +371,13 @@ def cmd_simulate(args) -> int:
             size = -(-args.reps // (16 * args.jobs))
             blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
             imap = stack.enter_context(get_context(_START_METHOD).Pool(args.jobs)).imap
-        # each block is copied out as it arrives, so the draws are held once
         stats = np.empty(args.reps)
-        draws = np.empty((args.reps, args.multipliers))
+        quantiles = np.empty((args.reps, len(levels)))
         for reps, results in zip(blocks, imap(run_block, blocks)):
-            for rep, (stat, rep_draws) in zip(reps, results):
+            for rep, (stat, rep_quantiles) in zip(reps, results):
                 stats[rep] = stat
-                draws[rep] = rep_draws
-    # every replication's draws sorted once, for the quantiles of every level
-    draws.sort(axis=1)
-    sizes = [
-        (stats > draws[:, _quantile_index(args.multipliers, alpha)]).mean()
-        for alpha in alphas
-    ]
+                quantiles[rep] = rep_quantiles
+    sizes = [(stats > q).mean() for q in quantiles.T]
 
     rows = [(repr(a), _fmt(s), args.reps) for a, s in zip(alphas, sizes)]
     _write_rows(args.out, ("alpha", "empirical_size", "reps"), rows)

@@ -1063,3 +1063,28 @@ def test_hotelling_invariant_to_common_scale():
         got = hotelling_statistic(x * scale, system)
         assert (got.dof, got.rank) == (base.dof, base.rank), scale
         assert got.statistic == pytest.approx(base.statistic, rel=1e-12), scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-250.0, 250.0), min_size=6, max_size=6),
+    st.lists(st.sampled_from([1.0, -1.0]), min_size=6, max_size=6),
+)
+def test_hotelling_invariant_to_variable_scales_and_signs(exponents, signs):
+    # the eigenvalue cutoff is relative to the largest eigenvalue; before
+    # each variable was divided by its root mean square, one variable
+    # x1e60 gave statistic 0.0 at rank 0
+    system = enumerate_constraints(star_tree(6))
+    x = sample(covariance_from_factor(setup_params(1, 6, seed=0)), 300, seed=0).data
+    base = hotelling_statistic(x, system)
+    got = hotelling_statistic(x * (np.array(signs) * 10.0 ** np.array(exponents)), system)
+    assert (got.dof, got.rank) == (base.dof, base.rank) == (30, 9)
+    assert got.statistic == pytest.approx(base.statistic, rel=1e-12)
+
+
+def test_hotelling_refuses_an_all_zero_variable():
+    system = enumerate_constraints(star_tree(4))
+    x = sample(np.eye(4), 50, seed=0).data
+    x[:, 2] = 0.0
+    with pytest.raises(ValueError, match="data column 2 is all zeros"):
+        hotelling_statistic(x, system)

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,15 @@ import treegof
 import treegof.cli as climod
 import treegof.model
 import treegof.tree
+from treegof.bootstrap import (
+    BootstrapConfig,
+    Scratch,
+    quantile_from_draws,
+    statistic_and_draws,
+)
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
-from treegof.model import sample
+from treegof.model import covariance_from_factor, sample, setup_params
 from treegof.tree import LatentTree, enumerate_constraints, load_tree
 
 
@@ -658,6 +665,84 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert outputs["3"] == outputs["1"]
     assert spawned == outputs["1"]
     assert (out.read_bytes(), out.with_suffix(".svg").read_bytes()) == outputs["1"]
+
+
+def test_simulate_block_order_statistics_are_the_public_quantiles():
+    # E=10: levels 0.05 and 0.06 both take the 10th order statistic, so
+    # two levels share one index
+    m, n, entropy = 4, 40, 8
+    alphas = [0.05, 0.06]
+    config = BootstrapConfig(num_multipliers=10)
+    levels = [climod._quantile_index(10, a) for a in alphas]
+    assert levels == [9, 9]
+    system = enumerate_constraints(climod._star_tree(m))
+    cov = covariance_from_factor(setup_params(2, m, seed=1))
+    results = climod._simulate_block(cov, system, n, config, entropy, levels, range(2, 6))
+    assert len(results) == 4
+    for rep, (stat, quantiles) in zip(range(2, 6), results):
+        data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
+        test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+        x = sample(cov, n, data_ss)
+        want_stat, draws = statistic_and_draws(
+            x, system, replace(config, seed=test_ss), Scratch()
+        )
+        assert stat == want_stat
+        assert quantiles.tolist() == [quantile_from_draws(draws, a) for a in alphas]
+
+
+def test_simulate_levels_sharing_an_order_statistic(tmp_path, capsys):
+    argv = [
+        "simulate", "--setup", "2", "--m", "4", "--n", "40", "--reps", "9",
+        "--multipliers", "10", "--seed", "6", "--alpha-grid", "0.05,0.06",
+    ]
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
+    capsys.readouterr()
+    assert outputs[1] == outputs[0]
+    _, rows = read_csv(tmp_path / "jobs1.csv")
+    assert [r[0] for r in rows] == ["0.05", "0.06"]
+    assert rows[0][1] == rows[1][1]
+
+
+def test_simulate_refuses_zero_multipliers_before_any_pool(tmp_path, capsys):
+    # _quantile_index(0, alpha) is -1, not an error, so the config must
+    # be checked before the levels are indexed and the pool started
+    out = tmp_path / "sizes.csv"
+    rc = main([
+        "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "4",
+        "--multipliers", "0", "--jobs", "2", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: num_multipliers must be at least 1\n"
+    assert not out.exists()
+    assert not (tmp_path / "sizes.svg").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_parent_holds_no_replications_by_draws_array(tmp_path, capsys):
+    # the workers send back each replication's statistic and one order
+    # statistic per level; the parent's traced peak stays below one
+    # reps x E float64 array (1.9 MB here), which it held when the
+    # workers sent back every draw
+    reps, draws = 48, 5000
+    argv = [
+        "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", str(reps),
+        "--multipliers", str(draws), "--seed", "3", "--jobs", "2",
+        "--out", str(tmp_path / "sizes.csv"),
+    ]
+    # a first run imports what the pool needs, outside the traced run
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < reps * draws * 8, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_simulate_validates_covariance_once_per_block(tmp_path, capsys, monkeypatch):
