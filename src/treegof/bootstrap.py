@@ -495,7 +495,8 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, multipliers=None,
 def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, imap=map):
     """The statistic, the sup-norm draws, the kept columns and all
     columns of the column groups of ``folds`` (from ``_folds``), each
-    group folded and then drawn in the memory of ``scratch``.
+    group folded and then drawn in the memory of ``scratch``.  ``folds``
+    is emptied as the groups are folded.
 
     Every group's draws replay the multiplier stream from ``seed`` with
     a fresh generator, except that when there is more than one group, a
@@ -509,15 +510,19 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, i
     statistic = -math.inf
     draws = np.full(num_draws, -np.inf)
     kept = columns = 0
-    for fold_group in folds:
-        fold = fold_group()
+    groups = len(folds)
+    while folds:
+        # each group's call is dropped once run, so what only the fold
+        # calls hold (the source's working copy) is freed before the last
+        # group's draws
+        fold = folds.pop(0)()
         statistic = max(statistic, fold.statistic)
         kept += fold.k_effective
         columns += len(fold.diag)
         if fold.k_effective and num_draws:
             omega = fold.sums.shape[0]
             one_chunk = _chunk_rows(num_draws, omega) == num_draws
-            if multipliers is None and len(folds) > 1 and one_chunk:
+            if multipliers is None and groups > 1 and one_chunk:
                 held = scratch.take("stream", [(num_draws, omega)])
                 multipliers = next(_multiplier_chunks(fold, num_draws, seed, None, held))[1]
             peaks = _draws(fold, num_draws, seed, scratch, jobs, multipliers, imap)
@@ -610,15 +615,22 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
 
 
 def _fold_and_draw(
-    data, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int, scratch
+    held: list, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int, scratch
 ):
-    """``_bootstrap`` of the estimate columns of ``data``, on ``jobs``
-    threads, with the large buffers taken from ``scratch``."""
+    """``_bootstrap`` of the estimate columns of the data in the one-item
+    list ``held``, on ``jobs`` threads, with the large buffers taken from
+    ``scratch``.
+
+    Each copy of the data lives only while a phase reads it: ``held`` is
+    emptied once the column source has its own centred copy, so data that
+    the list alone holds is freed before the fold, and only the fold calls
+    hold the source, so its copy is freed before the last group's draws.
+    """
     mult_ss, sub_ss = _seed_sequence(config.seed).spawn(2)
     subsample = None
     if config.subsample is not None:
         subsample = (config.subsample, sub_ss)
-    source = column_source(data, constraints, config.mode, subsample, config.center)
+    source = column_source(held.pop(), constraints, config.mode, subsample, config.center)
     if source.n_columns == 0:
         raise ValueError("constraint system yields no test columns")
     # columns are homogeneous in each variable and studentized, so scaling
@@ -628,6 +640,7 @@ def _fold_and_draw(
     np.ldexp(x, -np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1], out=x)
     with _ordered_map(jobs) as imap:
         folds = _folds(source, config.batch_size, scratch, jobs, imap)
+        del source, x
         return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, imap=imap)
 
 
@@ -640,7 +653,7 @@ def statistic_and_draws(
 
     The large buffers come from ``scratch``, so a loop of tests that
     passes one ``Scratch()`` to every call allocates them once."""
-    stat, draws, _, _ = _fold_and_draw(data, constraints, config, 1, scratch)
+    stat, draws, _, _ = _fold_and_draw([data], constraints, config, 1, scratch)
     return stat, draws
 
 
@@ -653,10 +666,21 @@ def run_test(
     one column group at a time; only one group's batch sums of the kept
     columns are held, for that group's draws.  Column chunks and
     coordinate tiles run on one thread per usable core; the result is
-    the same for any count.
+    the same for any count.  The centred working copy of ``data`` is
+    freed before the last group's draws; ``data`` itself is the caller's.
     """
+    return _run_test([data], constraints, config)
+
+
+def _run_test(
+    held: list, constraints: ConstraintSystem, config: BootstrapConfig
+) -> TestResult:
+    """``run_test`` of the data in the one-item list ``held``, which is
+    emptied once the data's centred copy is made: ``treegof test`` hands
+    its parsed CSV over in a list that only this call holds, so the CSV
+    is freed before the fold on every Python version."""
     stat, draws, kept, columns = _fold_and_draw(
-        data, constraints, config, _usable_cores(), Scratch()
+        held, constraints, config, _usable_cores(), Scratch()
     )
     quantile = quantile_from_draws(draws, config.alpha)
     p_value = (float(np.count_nonzero(draws >= stat)) + 1.0) / (

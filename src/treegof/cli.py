@@ -33,7 +33,7 @@ from .bootstrap import (
     BootstrapConfig,
     Scratch,
     _quantile_index,
-    run_test,
+    _run_test,
     statistic_and_draws,
 )
 from .metric import is_t_induced
@@ -277,14 +277,20 @@ def _bootstrap_config(args) -> BootstrapConfig:
     )
 
 
+def _test_data(path, tree):
+    """The values of the data CSV at ``path``, with the columns in the
+    order of the tree's observed variables."""
+    names, values = _read_matrix_csv(path)
+    order = _observed_order(names, tree)
+    return values if order is None else values[:, order]
+
+
 def cmd_test(args) -> int:
     tree = load_tree(args.tree)
     system = enumerate_constraints(tree)
-    names, values = _read_matrix_csv(args.data)
-    order = _observed_order(names, tree)
-    if order is not None:
-        values = values[:, order]
-    result = run_test(values, system, _bootstrap_config(args))
+    # the list is the data's only holder, and the test empties it once the
+    # estimate columns have their own centred copy
+    result = _run_test([_test_data(args.data, tree)], system, _bootstrap_config(args))
     report = {
         "statistic": result.statistic,
         "quantile": result.quantile,

@@ -307,7 +307,7 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
             # every field compared with ==, floats included
             assert run_test(data, system, config) == base
             got_stat, got_draws, _, _ = btmod._fold_and_draw(
-                data, system, config, jobs, Scratch()
+                [data], system, config, jobs, Scratch()
             )
             assert got_stat == stat
             np.testing.assert_array_equal(got_draws, draws)
@@ -830,8 +830,8 @@ def test_reused_scratch_matches_unshared_buffers_bit_for_bit():
             taken = _recorded(scratch)
             with mock.patch.multiple(btmod, **budgets):
                 expect = _unshared_result(data, system, config)
-                reused = btmod._fold_and_draw(data, system, config, jobs, shared)
-                fresh = btmod._fold_and_draw(data, system, config, jobs, scratch)
+                reused = btmod._fold_and_draw([data], system, config, jobs, shared)
+                fresh = btmod._fold_and_draw([data], system, config, jobs, scratch)
             for got in (reused, fresh):
                 assert (got[0], got[2], got[3]) == (expect[0], expect[2], expect[3]), name
                 np.testing.assert_array_equal(got[1], expect[1], err_msg=name)

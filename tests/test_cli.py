@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -482,6 +483,96 @@ def test_test_command_header_naming_no_ids_is_positional(tmp_path, capsys):
         assert main(args) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("center", [True, False], ids=["centred", "no-center"])
+def test_test_command_holds_one_copy_of_the_data(tmp_path, capsys, monkeypatch, center):
+    # a tall 6-leaf star in mode "all": 50 columns over omega = 39,999
+    # batches, one column per fold chunk.  The parsed CSV is freed once
+    # the estimate columns have their own copy, and that copy before the
+    # draws, so the traced peak is the fold's: the store, one copy of the
+    # data and one workspace per thread, plus 3 MiB (34.3 MiB when the
+    # CSV and the copy were both held through the run)
+    m, n = 6, 120_000
+    tree = star_file(tmp_path, m)
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate", "--setup", "1", "--m", str(m), "--n", str(n),
+        "--seed", "0", "--out", str(data),
+    ]) == 0
+    source = treegof.bootstrap.column_source(
+        np.zeros((n, m)), enumerate_constraints(load_tree(tree)), "all"
+    )
+    (cols, *_) = treegof.bootstrap._column_slices(
+        source.n_rows, slice(0, source.n_columns)
+    )
+    workspace = sum(np.prod(s) for s in source.workspace_shapes(cols.stop - cols.start))
+    budget = 8 * ((source.n_rows // 3) * source.n_columns + n * m + 2 * workspace)
+    budget += 3 * 2**20
+    monkeypatch.setattr(treegof.bootstrap, "_usable_cores", lambda: 2)
+    argv = ["test", "--tree", str(tree), "--data", str(data), "--mode", "all"]
+    argv += [] if center else ["--no-center"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["k_effective"] == 50
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} of {budget / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_test_command_frees_each_data_copy_after_its_phase(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    # nine column groups of eight columns: the parsed CSV is dead before
+    # the first fold, and the source's working copy lives through every
+    # group's fold and is dead when the last group's draws start
+    btmod = treegof.bootstrap
+    tree = star_file(tmp_path, 7)
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate", "--setup", "1", "--m", "7", "--n", "150",
+        "--seed", "0", "--out", str(data),
+    ]) == 0
+    refs = {}
+    read, make_source = climod._read_matrix_csv, btmod.column_source
+    fold, draws = btmod._fold, btmod._draws
+
+    def reading(path):
+        names, values = read(path)
+        refs["csv"] = weakref.ref(values)
+        return names, values
+
+    def making(*args):
+        source = make_source(*args)
+        refs["copy"] = weakref.ref(source.x)
+        return source
+
+    alive = []
+
+    def folding(*args):
+        alive.append(("fold", refs["csv"]() is not None, refs["copy"]() is not None))
+        return fold(*args)
+
+    def drawing(*args, **kwargs):
+        alive.append(("draws", refs["csv"]() is not None, refs["copy"]() is not None))
+        return draws(*args, **kwargs)
+
+    monkeypatch.setattr(climod, "_read_matrix_csv", reading)
+    monkeypatch.setattr(btmod, "column_source", making)
+    monkeypatch.setattr(btmod, "_fold", folding)
+    monkeypatch.setattr(btmod, "_draws", drawing)
+    monkeypatch.setattr(btmod, "_usable_cores", lambda: jobs)
+    for name, value in {"_TILE_SIDE": 4, "_SUMS_BUDGET": 1, "_MIN_GROUP": 8}.items():
+        monkeypatch.setattr(btmod, name, value)
+    assert main(["test", "--tree", str(tree), "--data", str(data), "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_effective"] == 70
+    # each group is folded and then drawn
+    assert alive == [
+        ("fold", False, True), ("draws", False, True)
+    ] * 8 + [("fold", False, True), ("draws", False, False)]
 
 
 # ---------------------------------------------------------------------------
