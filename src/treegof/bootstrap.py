@@ -247,7 +247,9 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
     sums = batches[:, 0].copy(order="K")
     for row in range(1, batch_size):
         sums += batches[:, row]
-    return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
+    # an overflowing square is reported by ``_fold_chunk``'s check
+    with np.errstate(over="ignore"):
+        return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
 
 
 def _fold_chunk(source, spare, batch_size, store, group, cols):
@@ -350,7 +352,9 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
     ]
 
 
-def _require_columns(kept: int) -> int:
+def _require_columns(kept: int, columns: int) -> int:
+    if columns == 0:
+        raise ValueError("constraint system yields no test columns")
     if kept == 0:
         raise ValueError("every column is numerically constant; nothing to test")
     return kept
@@ -371,9 +375,9 @@ def _chunk_rows(num_draws: int, omega: int) -> int:
     return max(1, min(num_draws, _CHUNK_BUDGET // omega))
 
 
-def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers, buffers):
+def _multiplier_chunks(omega: int, num_draws: int, seed, buffers):
     """Yield (draw slice, multiplier chunk) pairs of ``_chunk_rows``
-    draws each.
+    draws of ``omega`` multipliers each.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
@@ -381,22 +385,11 @@ def _multiplier_chunks(fold: _Fold, num_draws: int, seed, multipliers, buffers):
     stream.  The chunks are drawn into ``buffers``, of one chunk each, in
     turn, so a chunk is overwritten when ``len(buffers)`` more are drawn.
     """
-    omega = fold.sums.shape[0]
     rng = np.random.default_rng(seed)
-    if multipliers is not None:
-        multipliers = np.asarray(multipliers, dtype=float)
-        if multipliers.shape != (num_draws, omega):
-            raise ValueError(
-                f"multipliers must have shape {(num_draws, omega)}, "
-                f"got {multipliers.shape}"
-            )
     chunk = _chunk_rows(num_draws, omega)
     for i, start in enumerate(range(0, num_draws, chunk)):
         take = min(chunk, num_draws - start)
-        if multipliers is None:
-            e = rng.standard_normal(out=buffers[i % len(buffers)][:take])
-        else:
-            e = multipliers[start : start + take]
+        e = rng.standard_normal(out=buffers[i % len(buffers)][:take])
         yield slice(start, start + take), e
 
 
@@ -459,7 +452,7 @@ def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
         spare.append(buffer)
 
 
-def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, multipliers=None, imap=map):
+def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap=map):
     """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
     peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap`` on
     ``jobs`` threads) combine by ``max``, which is exact.
@@ -467,32 +460,36 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, multipliers=None,
     The calling thread draws the next chunk while the threads work on
     the current one, and takes every peak of a chunk before it draws the
     one after next, so two chunk buffers serve any thread count (one
-    when the stream is one chunk, none when ``multipliers`` are given).
+    when the stream is one chunk, none when a one-chunk ``stream`` drawn
+    from ``seed`` is passed in).
     Each tile in flight has a tile buffer, at most one per thread and
     per tile of a chunk.  The chunks and tiles come from the ``work``
     region of ``scratch``.
     """
     omega = fold.sums.shape[0]
     size = _chunk_rows(num_draws, omega)
-    chunks = 0 if multipliers is not None else 1 if size == num_draws else 2
+    chunks = 0 if stream is not None else 1 if size == num_draws else 2
     height, width = _tile_shape(size, fold.k_effective)
     in_flight = min(jobs, len(_coordinate_tiles(fold, size)))
     buffers = scratch.take("work", [(size, omega)] * chunks + [(height * width,)] * in_flight)
     out = np.full(num_draws, -np.inf)
-    stream = _multiplier_chunks(fold, num_draws, seed, multipliers, buffers[:chunks])
+    if stream is None:
+        drawn = _multiplier_chunks(omega, num_draws, seed, buffers[:chunks])
+    else:
+        drawn = iter([(slice(0, num_draws), stream)])
     spare = deque(buffers[chunks:])
-    chunk = next(stream, None)
+    chunk = next(drawn, None)
     while chunk is not None:
         draws, e = chunk
         tiles = _coordinate_tiles(fold, len(e))
         peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
-        chunk = next(stream, None)
+        chunk = next(drawn, None)
         for (rows, _), tile_peaks in zip(tiles, peaks):
             np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
     return out
 
 
-def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, imap=map):
+def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map):
     """The statistic, the sup-norm draws, the kept columns and all
     columns of the column groups of ``folds`` (from ``_folds``), each
     group folded and then drawn in the memory of ``scratch``.  ``folds``
@@ -511,6 +508,7 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, i
     draws = np.full(num_draws, -np.inf)
     kept = columns = 0
     groups = len(folds)
+    stream = None
     while folds:
         # each group's call is dropped once run, so what only the fold
         # calls hold (the source's working copy) is freed before the last
@@ -522,12 +520,12 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, multipliers=None, i
         if fold.k_effective and num_draws:
             omega = fold.sums.shape[0]
             one_chunk = _chunk_rows(num_draws, omega) == num_draws
-            if multipliers is None and groups > 1 and one_chunk:
+            if stream is None and groups > 1 and one_chunk:
                 held = scratch.take("stream", [(num_draws, omega)])
-                multipliers = next(_multiplier_chunks(fold, num_draws, seed, None, held))[1]
-            peaks = _draws(fold, num_draws, seed, scratch, jobs, multipliers, imap)
+                stream = next(_multiplier_chunks(omega, num_draws, seed, held))[1]
+            peaks = _draws(fold, num_draws, seed, scratch, jobs, stream, imap)
             np.maximum(draws, peaks, out=draws)
-    return statistic, draws, _require_columns(kept), columns
+    return statistic, draws, _require_columns(kept, columns), columns
 
 
 def batched_diag(seq: EstimateSequence, batch_size: int) -> np.ndarray:
@@ -549,30 +547,21 @@ def test_statistic(seq: EstimateSequence, batch_size: int) -> float:
 
 
 def multiplier_draws(
-    seq: EstimateSequence,
-    batch_size: int,
-    num_draws: int,
-    seed,
-    multipliers=None,
+    seq: EstimateSequence, batch_size: int, num_draws: int, seed
 ) -> np.ndarray:
     """Bootstrap sup-norm draws, in draw order.
 
     Each draw applies one standard-normal multiplier per batch to the
     batch sums, studentizes per column, and reduces like the test
     statistic (absolute for equality columns, signed for one-sided
-    ones).  ``multipliers`` overrides the random draw for testing.
+    ones).
     """
     scratch = Scratch()
-    folds = _folds(seq, batch_size, scratch)
-    return _bootstrap(folds, num_draws, seed, scratch, multipliers=multipliers)[1]
+    return _bootstrap(_folds(seq, batch_size, scratch), num_draws, seed, scratch)[1]
 
 
 def bootstrap_coordinates(
-    seq: EstimateSequence,
-    batch_size: int,
-    num_draws: int,
-    seed,
-    multipliers=None,
+    seq: EstimateSequence, batch_size: int, num_draws: int, seed
 ) -> np.ndarray:
     """Raw studentized bootstrap coordinates, one row per draw and one
     column per kept (non-degenerate) column.
@@ -590,12 +579,11 @@ def bootstrap_coordinates(
         if fold.k_effective:
             omega = fold.sums.shape[0]
             buffer = scratch.take("work", [(_chunk_rows(num_draws, omega), omega)])
-            chunks = _multiplier_chunks(fold, num_draws, seed, multipliers, buffer)
-            for draws, e in chunks:
+            for draws, e in _multiplier_chunks(omega, num_draws, seed, buffer):
                 for rows, cols in _coordinate_tiles(fold, len(e)):
                     _coordinates(fold, e[rows], cols, out[draws][rows, cols])
         groups.append(out)
-    _require_columns(sum(block.shape[1] for block in groups))
+    _require_columns(sum(block.shape[1] for block in groups), seq.n_columns)
     return np.hstack(groups)
 
 
@@ -631,8 +619,6 @@ def _fold_and_draw(
     if config.subsample is not None:
         subsample = (config.subsample, sub_ss)
     source = column_source(held.pop(), constraints, config.mode, subsample, config.center)
-    if source.n_columns == 0:
-        raise ValueError("constraint system yields no test columns")
     # columns are homogeneous in each variable and studentized, so scaling
     # each variable by a power of two to a largest magnitude in [0.5, 1)
     # changes no result, and tiny or huge units neither underflow nor overflow

@@ -311,12 +311,10 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _simulate_block(cov, system, n, config, entropy, levels, reps):
-    """The statistic and the order statistics at positions ``levels`` of
-    the sorted draws of each replication of ``reps``, in order.  Each
-    replication's draws are sorted in place once, here in the worker, so
-    only these few numbers reach the parent, which never holds a
-    replications x draws array.
+def _simulate_block(cov, system, n, config, entropy, reps):
+    """The count of draws at or above the statistic of each replication
+    of ``reps``, in order.  Only these counts reach the parent, which
+    never holds a replications x draws array.
 
     The replications run through one bootstrap ``Scratch``: its buffers
     are allocated once per block, not once per replication, and so are
@@ -334,16 +332,15 @@ def _simulate_block(cov, system, n, config, entropy, levels, reps):
     """
     chol = _cholesky(cov)
     scratch = Scratch()
-    results = []
+    counts = []
     for rep in reps:
         data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
         test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
         x = _draw(chol, n, data_ss)
         test_config = replace(config, seed=test_ss)
         stat, draws = statistic_and_draws(x, system, test_config, scratch)
-        draws.sort()
-        results.append((stat, draws[levels]))
-    return results
+        counts.append(int(np.count_nonzero(draws >= stat)))
+    return counts
 
 
 def cmd_simulate(args) -> int:
@@ -355,13 +352,13 @@ def cmd_simulate(args) -> int:
     # the config first, so that it refuses a draw count below 1, for
     # which ``_quantile_index`` gives -1 and no error
     config = _bootstrap_config(args)
-    levels = [_quantile_index(config.num_multipliers, alpha) for alpha in alphas]
+    num_draws = config.num_multipliers
     system = enumerate_constraints(_star_tree(args.m))
     params_ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 2))
     params = setup_params(args.setup, args.m, params_ss)
     run_block = partial(
         _simulate_block, covariance_from_factor(params), system, args.n,
-        config, args.seed, levels,
+        config, args.seed,
     )
     blocks = [range(args.reps)]
     with ExitStack() as stack:
@@ -377,13 +374,10 @@ def cmd_simulate(args) -> int:
             size = -(-args.reps // (16 * args.jobs))
             blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
             imap = stack.enter_context(get_context(_START_METHOD).Pool(args.jobs)).imap
-        stats = np.empty(args.reps)
-        quantiles = np.empty((args.reps, len(levels)))
-        for reps, results in zip(blocks, imap(run_block, blocks)):
-            for rep, (stat, rep_quantiles) in zip(reps, results):
-                stats[rep] = stat
-                quantiles[rep] = rep_quantiles
-    sizes = [(stats > q).mean() for q in quantiles.T]
+        counts = np.array([count for block in imap(run_block, blocks) for count in block])
+    # the statistic exceeds the order statistic at index j of the E sorted
+    # draws exactly when fewer than E - j draws reach it
+    sizes = [(counts < num_draws - _quantile_index(num_draws, a)).mean() for a in alphas]
 
     rows = [(repr(a), _fmt(s), args.reps) for a, s in zip(alphas, sizes)]
     _write_rows(args.out, ("alpha", "empirical_size", "reps"), rows)

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -43,8 +44,14 @@ from treegof.estimators import (
     column_source,
     plugin_tetrads,
 )
-from treegof.model import covariance_from_factor, sample, setup_params
-from treegof.tree import ConstraintSystem, enumerate_constraints
+from treegof.model import (
+    TreeModelParams,
+    covariance_from_factor,
+    covariance_from_tree,
+    sample,
+    setup_params,
+)
+from treegof.tree import ConstraintSystem, LatentTree, enumerate_constraints
 
 
 def _folds(source, batch_size, imap=map, jobs=1):
@@ -158,33 +165,72 @@ def test_all_columns_constant_error():
         sup_statistic(seq, 3)
 
 
+def test_no_columns_error():
+    # no column at all is told apart from every column dropped
+    seq = _seq(np.empty((12, 0)))
+    for call in (
+        lambda: sup_statistic(seq, 3),
+        lambda: multiplier_draws(seq, 3, 5, 0),
+        lambda: bootstrap_coordinates(seq, 3, 5, 0),
+    ):
+        with pytest.raises(ValueError, match="no test columns"):
+            call()
+    assert batched_diag(seq, 3).shape == (0,)
+
+
+def test_overflowing_columns_fail_with_their_message():
+    # a 6-variable tree in mode "all", with one variable in huge units:
+    # the squared batch sums overflow, and the fold says so instead of
+    # warning first
+    tree = LatentTree(
+        [("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x2", "h"), ("h", "x5"), ("h", "x6")],
+        ["x1", "x2", "x3", "x4", "x5", "x6"],
+    )
+    system = enumerate_constraints(tree)
+    cov = covariance_from_tree(TreeModelParams(tree, {e: 0.6 for e in tree.edges}))
+    data = sample(cov, 300, seed=0).data
+    for var, scale in itertools.product((0, 1), (1e100, 1e150)):
+        x = data.copy()
+        x[:, var] *= scale
+        seq = build_estimate_matrix(x, system, mode="all")
+        for call in (
+            lambda: sup_statistic(seq, 3),
+            lambda: multiplier_draws(seq, 3, 20, 0),
+            lambda: bootstrap_coordinates(seq, 3, 20, 0),
+            lambda: batched_diag(seq, 3),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="overflow"):
+                    call()
+
+
 # ---------------------------------------------------------------------------
 # multiplier draws and coordinates
+
+
+def _draws_of(seq, stream):
+    # the draws of the one column group of ``seq`` under a one-chunk
+    # multiplier stream passed in
+    (fold,) = _folds(seq, 3)
+    return btmod._draws(fold, len(stream), None, Scratch(), stream=np.asarray(stream))
 
 
 def test_draws_with_explicit_multipliers():
     # batch sums (-4.5, 4.5), diag 6.75; each multiplier row picks the first
     # batch: coordinate -4.5 / sqrt(6 * 6.75) = -sqrt(1/2)
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    seq = _seq(values)
-    draws = multiplier_draws(seq, 3, 2, None, multipliers=[[1.0, 0.0], [-1.0, 0.0]])
+    draws = _draws_of(_seq(values), [[1.0, 0.0], [-1.0, 0.0]])
     np.testing.assert_allclose(draws, [math.sqrt(0.5)] * 2, rtol=1e-12)
     sided = _seq(values, one_sided=[True])
-    draws = multiplier_draws(sided, 3, 2, None, multipliers=[[1.0, 0.0], [-1.0, 0.0]])
+    draws = _draws_of(sided, [[1.0, 0.0], [-1.0, 0.0]])
     np.testing.assert_allclose(draws, [-math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-12)
 
 
 def test_zero_multipliers_give_zero_draws():
     rng = np.random.default_rng(0)
     seq = _seq(rng.normal(size=(30, 3)))
-    draws = multiplier_draws(seq, 3, 5, None, multipliers=np.zeros((5, 10)))
-    np.testing.assert_array_equal(draws, np.zeros(5))
-
-
-def test_multipliers_shape_error():
-    seq = _seq(np.arange(12.0))
-    with pytest.raises(ValueError, match="shape"):
-        multiplier_draws(seq, 3, 5, None, multipliers=np.zeros((5, 3)))
+    np.testing.assert_array_equal(_draws_of(seq, np.zeros((5, 10))), np.zeros(5))
 
 
 def test_draws_are_row_maxima_of_coordinates():
@@ -749,9 +795,10 @@ def test_fold_chunks_hold_no_batch_sums_of_their_own():
 
 def _unshared_result(data, system, config):
     """What ``_fold_and_draw`` returns, from a path whose scratch holds
-    only the group store: plain product columns, which need no column
-    workspace, and the whole multiplier stream, passed in, multiplied
-    into coordinates written to an array of their own."""
+    only the group store and one multiplier chunk: plain product
+    columns, which need no column workspace, and the same seeded
+    multiplier stream, in the same chunks, multiplied into coordinates
+    written to an array of their own."""
     mult_ss, sub_ss = btmod._seed_sequence(config.seed).spawn(2)
     sub = None if config.subsample is None else (config.subsample, sub_ss)
     source = column_source(data, system, config.mode, sub)
@@ -761,8 +808,7 @@ def _unshared_result(data, system, config):
         source.one_sided,
     )
     batch, draws = config.batch_size, config.num_multipliers
-    stream = np.random.default_rng(mult_ss).standard_normal((draws, source.n_rows // batch))
-    coords = bootstrap_coordinates(plain, batch, draws, None, multipliers=stream)
+    coords = bootstrap_coordinates(plain, batch, draws, mult_ss)
     keep = batched_diag(plain, batch) > btmod.DIAG_FLOOR
     signed = np.where(plain.one_sided[keep], coords, np.abs(coords))
     return sup_statistic(plain, batch), signed.max(axis=1), coords.shape[1], len(keep)

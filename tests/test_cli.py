@@ -758,27 +758,45 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert (out.read_bytes(), out.with_suffix(".svg").read_bytes()) == outputs["1"]
 
 
-def test_simulate_block_order_statistics_are_the_public_quantiles():
+def test_simulate_block_counts_decide_like_the_public_quantiles():
     # E=10: levels 0.05 and 0.06 both take the 10th order statistic, so
     # two levels share one index
     m, n, entropy = 4, 40, 8
-    alphas = [0.05, 0.06]
+    alphas = [0.05, 0.06, 0.5, 0.95]
     config = BootstrapConfig(num_multipliers=10)
     levels = [climod._quantile_index(10, a) for a in alphas]
-    assert levels == [9, 9]
+    assert levels[:2] == [9, 9]
     system = enumerate_constraints(climod._star_tree(m))
     cov = covariance_from_factor(setup_params(2, m, seed=1))
-    results = climod._simulate_block(cov, system, n, config, entropy, levels, range(2, 6))
-    assert len(results) == 4
-    for rep, (stat, quantiles) in zip(range(2, 6), results):
+    counts = climod._simulate_block(cov, system, n, config, entropy, range(2, 6))
+    assert len(counts) == 4
+    for rep, count in zip(range(2, 6), counts):
         data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
         test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
         x = sample(cov, n, data_ss)
-        want_stat, draws = statistic_and_draws(
+        stat, draws = statistic_and_draws(
             x, system, replace(config, seed=test_ss), Scratch()
         )
-        assert stat == want_stat
-        assert quantiles.tolist() == [quantile_from_draws(draws, a) for a in alphas]
+        assert type(count) is int
+        assert count == np.count_nonzero(draws >= stat)
+        for alpha, j in zip(alphas, levels):
+            assert (count < 10 - j) == (stat > quantile_from_draws(draws, alpha))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+    st.integers(-4, 4),
+    st.floats(1e-6, 1 - 1e-6),
+)
+def test_draw_count_decides_like_the_quantile_on_tied_draws(values, stat, alpha):
+    # ``simulate`` decides a level from the count of draws at or above the
+    # statistic; on draws with many ties that must agree with comparing
+    # the statistic to the quantile
+    draws = np.array(values, dtype=float)
+    count = int(np.count_nonzero(draws >= stat))
+    bound = len(draws) - climod._quantile_index(len(draws), alpha)
+    assert (count < bound) == (stat > quantile_from_draws(draws, alpha))
 
 
 def test_simulate_levels_sharing_an_order_statistic(tmp_path, capsys):
