@@ -338,6 +338,8 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
     region of ``scratch``, so only one group's sums are alive, and a
     fold's ``sums`` hold only until the next group is folded.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
     omega = source.n_rows // batch_size
     if omega < 2:
         raise ValueError(
@@ -595,10 +597,14 @@ def _quantile_index(num_draws: int, alpha: float) -> int:
 
 def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
     """Upper empirical quantile: the ceil((1-alpha) * E)-th order
-    statistic, clamped into range."""
+    statistic, clamped into range.  A NaN or infinite quantile would
+    never reject, so non-finite draws are refused."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    draws = np.sort(np.asarray(draws, dtype=float))
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 1 or draws.size == 0 or not np.isfinite(draws).all():
+        raise ValueError("draws must be a non-empty 1-D array of finite values")
+    draws = np.sort(draws)
     return float(draws[_quantile_index(draws.shape[0], alpha)])
 
 
@@ -652,19 +658,13 @@ def run_test(
     one column group at a time; only one group's batch sums of the kept
     columns are held, for that group's draws.  Column chunks and
     coordinate tiles run on one thread per usable core; the result is
-    the same for any count.  The centred working copy of ``data`` is
-    freed before the last group's draws; ``data`` itself is the caller's.
+    the same for any count.  An array passed as a temporary (``treegof
+    test`` passes its parsed CSV so) is freed once its centred working
+    copy is made, and that copy before the last group's draws.
     """
-    return _run_test([data], constraints, config)
-
-
-def _run_test(
-    held: list, constraints: ConstraintSystem, config: BootstrapConfig
-) -> TestResult:
-    """``run_test`` of the data in the one-item list ``held``, which is
-    emptied once the data's centred copy is made: ``treegof test`` hands
-    its parsed CSV over in a list that only this call holds, so the CSV
-    is freed before the fold on every Python version."""
+    # the list alone holds the data in this frame, and the fold empties it
+    held = [data]
+    del data
     stat, draws, kept, columns = _fold_and_draw(
         held, constraints, config, _usable_cores(), Scratch()
     )

@@ -33,7 +33,7 @@ from .bootstrap import (
     BootstrapConfig,
     Scratch,
     _quantile_index,
-    _run_test,
+    run_test,
     statistic_and_draws,
 )
 from .metric import is_t_induced
@@ -288,9 +288,7 @@ def _test_data(path, tree):
 def cmd_test(args) -> int:
     tree = load_tree(args.tree)
     system = enumerate_constraints(tree)
-    # the list is the data's only holder, and the test empties it once the
-    # estimate columns have their own centred copy
-    result = _run_test([_test_data(args.data, tree)], system, _bootstrap_config(args))
+    result = run_test(_test_data(args.data, tree), system, _bootstrap_config(args))
     report = {
         "statistic": result.statistic,
         "quantile": result.quantile,

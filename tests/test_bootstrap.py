@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -147,6 +148,20 @@ def test_too_few_batches_error():
     seq = _seq([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError, match="need at least 2"):
         batched_diag(seq, 3)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda seq, b: batched_diag(seq, b),
+    lambda seq, b: sup_statistic(seq, b),
+    lambda seq, b: multiplier_draws(seq, b, 10, 0),
+    lambda seq, b: bootstrap_coordinates(seq, b, 10, 0),
+], ids=["batched_diag", "test_statistic", "multiplier_draws", "bootstrap_coordinates"])
+def test_whole_matrix_calls_refuse_batch_size_below_one(call, batch_size):
+    # 59 rows: batch size 0 divided by zero, and -1 left -59 batches
+    seq = _seq(np.arange(59.0))
+    with pytest.raises(ValueError, match="^batch_size must be at least 1$"):
+        call(seq, batch_size)
 
 
 def test_constant_column_excluded_from_statistic():
@@ -553,6 +568,22 @@ def test_quantile_alpha_range_error():
         quantile_from_draws(np.arange(5.0), 0.0)
     with pytest.raises(ValueError, match="alpha"):
         quantile_from_draws(np.arange(5.0), 1.0)
+
+
+@pytest.mark.parametrize("draws, alpha", [
+    ([], 0.05),
+    (np.ones((3, 3)), 0.05),
+    (2.0, 0.05),
+    ([1.0, 2.0, np.nan], 0.01),
+    ([np.inf, 1.0, 2.0], 0.05),
+    ([np.nan, 1.0, 2.0], 0.5),
+    ([-np.inf, 1.0, 2.0], 0.5),
+], ids=["empty", "3x3", "0-d", "nan last", "inf", "nan skipped", "-inf"])
+def test_quantile_refuses_empty_shaped_or_non_finite_draws(draws, alpha):
+    # a NaN or infinite quantile never rejects, and a NaN sorted last was
+    # skipped at alpha = 0.5
+    with pytest.raises(ValueError, match="non-empty 1-D array of finite values"):
+        quantile_from_draws(draws, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,6 +1053,29 @@ def test_run_test_non_finite_data_fails_loudly(monkeypatch):
     x[7, 3] = np.nan
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 1)
     _raises_unchanged(monkeypatch, lambda: run_test(x, system, config), "non-finite")
+
+
+def test_run_test_frees_a_temporary_argument_before_the_fold(monkeypatch):
+    # the data array is passed as a temporary, so once the estimate
+    # columns have their centred copy nothing holds it
+    system = enumerate_constraints(star_tree(6))
+    cov = covariance_from_factor(setup_params(1, 6, seed=0))
+    refs, alive = [], []
+    folds = btmod._folds
+
+    def folding(*args):
+        alive.append(refs[0]() is not None)
+        return folds(*args)
+
+    def make():
+        x = np.array(sample(cov, 300, seed=0).data)
+        refs.append(weakref.ref(x))
+        return x
+
+    monkeypatch.setattr(btmod, "_folds", folding)
+    result = run_test(make(), system, BootstrapConfig(seed=0))
+    assert result.k_effective == 30
+    assert alive == [False]
 
 
 def test_run_test_errors():

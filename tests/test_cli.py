@@ -196,6 +196,20 @@ def test_enumerate_quiet_on_closed_pipe(tmp_path):
     proc.stderr.close()
 
 
+def test_enumerate_into_a_closed_pipe_returns_1_in_process(tmp_path, capsys):
+    # the branch of the subprocess test above, in this process: stdout's
+    # descriptor is pointed at devnull, so closing stdout, which flushes
+    # what is still buffered, does not fail again
+    tree = star_file(tmp_path, 30)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", stdout)
+        assert main(["enumerate", "--tree", str(tree)]) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert capsys.readouterr() == ("", "")
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -894,6 +908,46 @@ def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch
     ]) == 0
     capsys.readouterr()
     assert seen == [1, 1, 1]
+
+
+_WORKER_FAULTS = """
+import resource, sys
+from treegof.cli import main
+rc = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_minflt counts page faults on Linux"
+)
+@pytest.mark.parametrize("m, reps, bound", [
+    (10, 400, 20_000),
+    pytest.param(20, 80, 28_000, marks=pytest.mark.skipif(
+        not os.environ.get("TREEGOF_SLOW"), reason="set TREEGOF_SLOW=1 to run"
+    )),
+], ids=["m10", "m20"])
+def test_simulate_workers_fault_few_pages_through_their_scratch(m, reps, bound):
+    # simulate-size's run (m=10) and an m=20 run on two forked workers,
+    # whose page faults the parent reads once they are reaped.  Reusing
+    # one scratch per block, the workers faulted 11.7K pages at m=10 and
+    # 14.1K at m=20; with the group store and the held stream taken
+    # afresh in every call, 28K to 35K and 38K to 58K, and with every
+    # region taken afresh, 39K to 41K and 64K to 72K (2-vCPU VM, one BLAS
+    # thread).  A scratch made for each replication faults like a reused
+    # one: glibc hands the freed regions back from its heap.  No --out,
+    # so no path's length moves the heap
+    src = os.path.dirname(os.path.dirname(treegof.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_FAULTS, "simulate", "--setup", "2",
+         "--m", str(m), "--n", "500", "--reps", str(reps), "--jobs", "2", "--seed", "0"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.stdout.startswith("alpha,empirical_size,reps\n")
+    faults = int(proc.stderr.split()[-1])
+    assert faults < bound, f"the workers faulted {faults} pages"
 
 
 def test_simulate_bad_alpha_grid(tmp_path, capsys):
