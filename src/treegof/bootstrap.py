@@ -121,13 +121,13 @@ class HotellingResult:
 @dataclass(frozen=True)
 class _Fold:
     """What the bootstrap keeps of one column group after one pass: the
-    statistic, every column's variance proxy, and the batch sums, scales
-    and sidedness of the kept (non-degenerate) columns."""
+    statistic, every column's variance proxy, and the sidedness and
+    unit-length batch sums of the kept (non-degenerate) columns: a
+    column's sums over their norm, sqrt(batch size * omega * proxy)."""
 
     statistic: float
     diag: np.ndarray
     sums: np.ndarray
-    scale: np.ndarray
     one_sided: np.ndarray
 
     @property
@@ -139,7 +139,7 @@ class Scratch:
     """Memory that the bootstrap core takes its large buffers from, in
     three regions:
 
-    - ``store``: one column group's omega x W batch sums;
+    - ``store``: one column group's omega x W unit-length batch sums;
     - ``work``: one group's fold workspaces, and then that group's
       multiplier chunks and coordinate tiles;
     - ``stream``: a one-chunk multiplier stream kept across groups.
@@ -254,10 +254,10 @@ def _moments(values: np.ndarray, omega: int, batch_size: int):
 
 def _fold_chunk(source, spare, batch_size, store, group, cols):
     """Reduce the columns ``cols`` of ``group``: write the batch sums of
-    the kept (non-degenerate) ones to the front of the chunk's own
-    columns of ``store``, and return every column's variance proxy and
-    the kept columns' scales, sidedness and largest studentized mean
-    (-inf when none is kept).
+    the kept (non-degenerate) ones, each divided by its norm, to the
+    front of the chunk's own columns of ``store``, and return every
+    column's variance proxy and the kept columns' sidedness and largest
+    studentized mean (-inf when none is kept).
 
     The columns are built in a workspace taken from ``spare``, which
     gets it back when the chunk is reduced."""
@@ -268,7 +268,8 @@ def _fold_chunk(source, spare, batch_size, store, group, cols):
     finally:
         spare.append(work)
     keep = d > DIAG_FLOOR
-    z = math.sqrt(source.n_rows) * ybar[keep] / np.sqrt(d[keep])
+    root = np.sqrt(d[keep])
+    z = math.sqrt(source.n_rows) * ybar[keep] / root
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
         raise ValueError(
             "variance proxies or studentized means overflow; rescale the data"
@@ -276,9 +277,13 @@ def _fold_chunk(source, spare, batch_size, store, group, cols):
     sided = source.one_sided[cols][keep]
     peak = float(np.where(sided, z, np.abs(z)).max()) if z.size else -math.inf
     lo = cols.start - group.start
-    store[:, lo : lo + len(sided)] = sums[:, keep]
-    scale = math.sqrt(batch_size * omega) * np.sqrt(d[keep])
-    return d, scale, sided, peak
+    out = store[:, lo : lo + len(sided)]
+    # copied before the division: a division straight from the gathered
+    # copy holds numpy's iterator buffers on top of it, and forked
+    # ``simulate`` workers then faulted four times as many pages at m=20
+    out[...] = sums[:, keep]
+    out /= math.sqrt(batch_size * omega) * root
+    return d, sided, peak
 
 
 def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, jobs, imap):
@@ -291,9 +296,9 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     (the diagonal of the batched covariance estimator) and the
     studentized means.  Rows beyond the largest multiple of the batch
     size are not batched (the means still use every row).  Each chunk
-    writes its kept columns' batch sums into its own columns of
-    ``store``; the fold moves them left past the columns dropped before
-    them, so the kept sums end up at the front of ``store``.
+    writes its kept columns' unit-length batch sums into its own
+    columns of ``store``; the fold moves them left past the columns
+    dropped before them, so the kept sums end up at the front of ``store``.
 
     Each chunk in flight has one workspace, as wide as the widest chunk,
     taken from the ``work`` region of ``scratch``: every group's fold
@@ -301,7 +306,6 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     """
     width = group.stop - group.start
     diag = np.empty(width)
-    scale = np.empty(width)
     kept_sided = np.empty(width, dtype=bool)
     statistic = -math.inf
     kept = 0
@@ -312,17 +316,16 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     n = len(space)
     spare = deque(tuple(buffers[i * n : i * n + n]) for i in range(spaces))
     work = partial(_fold_chunk, source, spare, batch_size, store, group)
-    for cols, (d, chunk_scale, sided, peak) in zip(slices, imap(work, slices)):
+    for cols, (d, sided, peak) in zip(slices, imap(work, slices)):
         lo = cols.start - group.start
         diag[lo : cols.stop - group.start] = d
         take = len(sided)
         statistic = max(statistic, peak)
         if kept < lo:
             store[:, kept : kept + take] = store[:, lo : lo + take]
-        scale[kept : kept + take] = chunk_scale
         kept_sided[kept : kept + take] = sided
         kept += take
-    return _Fold(statistic, diag, store[:, :kept], scale[:kept], kept_sided[:kept])
+    return _Fold(statistic, diag, store[:, :kept], kept_sided[:kept])
 
 
 def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
@@ -422,14 +425,6 @@ def _coordinate_tiles(fold: _Fold, draws: int):
     ]
 
 
-def _coordinates(fold: _Fold, e: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
-    """Studentized bootstrap coordinates of the kept columns ``cols``
-    under the multiplier chunk ``e``, written into ``out``."""
-    np.matmul(e, fold.sums[:, cols], out=out)
-    out /= fold.scale[cols]
-    return out
-
-
 def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
     """Per draw of a tile of the chunk ``e``, the tile's largest
     coordinate, signed for one-sided columns and absolute otherwise.
@@ -441,7 +436,7 @@ def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
     buffer = spare.pop()
     try:
         coord = buffer[: len(e) * (cols.stop - cols.start)].reshape(len(e), -1)
-        _coordinates(fold, e, cols, coord)
+        np.matmul(e, fold.sums[:, cols], out=coord)
         sided = fold.one_sided[cols]
         # a masked ``abs`` takes twice as long as a plain one, so tiles of
         # one kind of column skip the mask
@@ -558,6 +553,8 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).
     """
+    if num_draws < 1:
+        raise ValueError("num_draws must be at least 1")
     scratch = Scratch()
     return _bootstrap(_folds(seq, batch_size, scratch), num_draws, seed, scratch)[1]
 
@@ -572,6 +569,8 @@ def bootstrap_coordinates(
     coordinates whose signed/absolute row maxima are exactly the draws.
     Conditionally on the data, every coordinate has variance 1.
     """
+    if num_draws < 1:
+        raise ValueError("num_draws must be at least 1")
     seed = _seed_sequence(seed)
     scratch = Scratch()
     groups = []
@@ -583,7 +582,7 @@ def bootstrap_coordinates(
             buffer = scratch.take("work", [(_chunk_rows(num_draws, omega), omega)])
             for draws, e in _multiplier_chunks(omega, num_draws, seed, buffer):
                 for rows, cols in _coordinate_tiles(fold, len(e)):
-                    _coordinates(fold, e[rows], cols, out[draws][rows, cols])
+                    np.matmul(e[rows], fold.sums[:, cols], out=out[draws][rows, cols])
         groups.append(out)
     _require_columns(sum(block.shape[1] for block in groups), seq.n_columns)
     return np.hstack(groups)

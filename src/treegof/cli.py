@@ -496,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="draw Gaussian samples")
-    p.add_argument("--setup", type=int, choices=(1, 2), default=None)
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--setup", type=int, choices=(1, 2), default=None)
+    model.add_argument("--tree", default=None, help="tree file")
     p.add_argument("--m", type=int, default=None, help="observed variables")
-    p.add_argument("--tree", default=None, help="tree file")
     p.add_argument("--params", default=None, help="CORR/SD parameter file")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -518,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate" and (args.tree is None) == (args.setup is None):
-        parser.error("generate needs exactly one of --setup or --tree")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -104,7 +104,8 @@ def test_batched_diag_manual_oracle():
 
 def test_batch_sums_add_rows_in_order():
     # the rows of a batch add in row order, whatever the batch size, so
-    # the sums match a plain Python loop bit for bit
+    # the sums match a plain Python loop bit for bit; the fold stores
+    # each column's sums divided by sqrt(batch * omega) * sqrt(diag)
     rng = np.random.default_rng(8)
     values = rng.normal(size=(34, 8)) * 10.0 ** rng.integers(-3, 4, size=8)
     for batch in (3, 10):
@@ -119,7 +120,28 @@ def test_batch_sums_add_rows_in_order():
                 for row in range(i * batch + 1, (i + 1) * batch):
                     total += dev[row, c]
                 expect[i, c] = total
-        np.testing.assert_array_equal(fold.sums, expect)
+        _, sums, diag = btmod._moments(np.asfortranarray(values), omega, batch)
+        np.testing.assert_array_equal(sums, expect)
+        np.testing.assert_array_equal(fold.diag, diag)
+        norm = math.sqrt(batch * omega) * np.sqrt(diag)
+        np.testing.assert_array_equal(fold.sums, expect / norm)
+
+
+@pytest.mark.parametrize("mode", ["equalities", "all"])
+def test_stored_batch_sums_have_unit_norm(monkeypatch, mode):
+    # every kept column of the store has Euclidean norm 1 within 4 ulps,
+    # with the columns of a constant variable dropped, in four-column
+    # chunks that the fold moves left past them, at one and two threads
+    x, system, _ = _constant_column_case()
+    source = column_source(x, system, mode)
+    monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 4 * source.n_rows)
+    for jobs in (1, 2):
+        with btmod._ordered_map(jobs) as imap:
+            (fold,) = _folds(source, 3, imap, jobs)
+        assert 0 < fold.k_effective < len(fold.diag)
+        # each column's squares add pairwise as one contiguous vector
+        norms = np.sqrt((fold.sums.T.copy() ** 2).sum(axis=1))
+        assert np.abs(norms - 1.0).max() <= 4 * np.spacing(1.0), (mode, jobs)
 
 
 def test_statistic_zero_when_means_vanish():
@@ -162,6 +184,15 @@ def test_whole_matrix_calls_refuse_batch_size_below_one(call, batch_size):
     seq = _seq(np.arange(59.0))
     with pytest.raises(ValueError, match="^batch_size must be at least 1$"):
         call(seq, batch_size)
+
+
+@pytest.mark.parametrize("num_draws", [0, -1])
+@pytest.mark.parametrize("call", [multiplier_draws, bootstrap_coordinates])
+def test_draw_calls_refuse_num_draws_below_one(call, num_draws):
+    # 0 returned an empty array, and -1 failed inside numpy
+    seq = _seq(np.arange(59.0))
+    with pytest.raises(ValueError, match="^num_draws must be at least 1$"):
+        call(seq, 3, num_draws, 0)
 
 
 def test_constant_column_excluded_from_statistic():

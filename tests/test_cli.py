@@ -349,10 +349,13 @@ def test_generate_params_refuses_bad_entries(tmp_path, capsys, text, message):
 
 
 def test_generate_needs_exactly_one_source(tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["generate", "--n", "5"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    # argparse refuses neither flag and both flags, naming both
+    for source in ([], ["--setup", "1", "--m", "4", "--tree", "t.tree"]):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--n", "5", *source])
+        assert info.value.code == 2, source
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "--setup" in last and "--tree" in last, last
 
 
 # ---------------------------------------------------------------------------
