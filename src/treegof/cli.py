@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -265,15 +265,15 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _bootstrap_config(args) -> BootstrapConfig:
+def _bootstrap_config(args, **fields) -> BootstrapConfig:
     return BootstrapConfig(
         batch_size=args.batch,
         num_multipliers=args.multipliers,
-        alpha=args.alpha,
         seed=args.seed,
         mode=args.mode,
         center=not args.no_center,
         subsample=args.subsample,
+        **fields,
     )
 
 
@@ -288,17 +288,9 @@ def _test_data(path, tree):
 def cmd_test(args) -> int:
     tree = load_tree(args.tree)
     system = enumerate_constraints(tree)
-    result = run_test(_test_data(args.data, tree), system, _bootstrap_config(args))
-    report = {
-        "statistic": result.statistic,
-        "quantile": result.quantile,
-        "p_value": result.p_value,
-        "reject": result.reject,
-        "k_effective": result.k_effective,
-        "diag_floor_hits": result.diag_floor_hits,
-        "alpha": args.alpha,
-        "seed": args.seed,
-    }
+    config = _bootstrap_config(args, alpha=args.alpha)
+    result = run_test(_test_data(args.data, tree), system, config)
+    report = {**asdict(result), "alpha": args.alpha, "seed": args.seed}
     text = json.dumps(report, indent=2)
     print(text)
     if args.out is not None:
@@ -390,18 +382,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    ss = np.random.SeedSequence(args.seed)
-    params_ss, data_ss = ss.spawn(2)
+    # argparse lets through exactly one of --setup and --tree
+    if (args.setup is None) != (args.m is None):
+        raise ValueError("--setup and --m go together")
+    if (args.tree is None) != (args.params is None):
+        raise ValueError("--tree and --params go together")
+    params_ss, data_ss = np.random.SeedSequence(args.seed).spawn(2)
     if args.tree is not None:
-        if args.params is None:
-            raise ValueError("--tree needs --params with edge correlations")
         tree = load_tree(args.tree)
         edge_corr, node_sd = _parse_params_file(args.params)
         cov = covariance_from_tree(TreeModelParams(tree, edge_corr, node_sd))
         names = tuple(tree.observed)
     else:
-        if args.m is None:
-            raise ValueError("--setup needs --m")
         cov = covariance_from_factor(setup_params(args.setup, args.m, params_ss))
         names = tuple(f"x{i}" for i in range(1, args.m + 1))
     data = sample(cov, args.n, data_ss, names)
@@ -435,7 +427,6 @@ def cmd_check_metric(args) -> int:
 
 
 def _add_bootstrap_flags(p):
-    p.add_argument("--alpha", type=float, default=0.05, help="test level")
     p.add_argument("--batch", type=int, default=3, help="batch size for variance")
     p.add_argument(
         "--multipliers", type=int, default=1000, help="bootstrap draw count"
@@ -474,10 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--exit-on-reject", action="store_true",
         help="exit with status 3 when the test rejects",
     )
+    p.add_argument("--alpha", type=float, default=0.05, help="test level")
     _add_bootstrap_flags(p)
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("simulate", help="empirical size curve of the test")
+    # no abbreviated flags: ``--alpha`` would be read as ``--alpha-grid``
+    p = sub.add_parser(
+        "simulate", help="empirical size curve of the test", allow_abbrev=False
+    )
     p.add_argument("--setup", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True, help="observed variables")
     p.add_argument("--n", type=int, required=True, help="sample size")

@@ -5,8 +5,8 @@ consecutive sample rows estimate them without bias; the resulting column
 sequences are 1-dependent.  Sign inequalities are cubic and use three
 consecutive rows, giving 2-dependent sequences.  Columns follow the
 canonical constraint order; the bootstrap builds them chunk by chunk
-from a ``ColumnSource``, in buffers it reuses from chunk to chunk,
-``build_estimate_matrix`` as one matrix.
+from a ``ColumnSource``, in buffers it reuses from chunk to chunk, and
+``build_estimate_matrix`` copies the same chunks into one matrix.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def build_estimate_matrix(
     subsample=None,
     center: bool = True,
 ) -> EstimateSequence:
-    """Assemble the full estimate matrix for a constraint system.
+    """Assemble the full estimate matrix, a fold chunk at a time in one workspace.
 
     Parameters
     ----------
@@ -263,10 +263,14 @@ def build_estimate_matrix(
         Subtract column means first.  Disable to reproduce the exact
         mean-zero construction.
     """
+    from .bootstrap import _column_slices  # ``bootstrap`` imports this module
     source = column_source(data, constraints, mode, subsample, center)
-    width = source.n_columns
+    slices = _column_slices(source.n_rows, slice(0, source.n_columns))
+    width = slices[0].stop - slices[0].start if slices else 0
     work = [np.empty(shape) for shape in source.workspace_shapes(width)]
-    values = source.block(slice(0, width), work)
+    values = np.empty((source.n_rows, source.n_columns), order="F")
+    for cols in slices:
+        values[:, cols] = source.block(cols, work)
     return EstimateSequence(values, source.one_sided)
 
 

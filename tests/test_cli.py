@@ -18,7 +18,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from treegof.bootstrap import (
     BootstrapConfig,
     Scratch,
     quantile_from_draws,
+    run_test,
     statistic_and_draws,
 )
 from treegof.cli import _parse_alpha_grid, main
@@ -358,6 +359,29 @@ def test_generate_needs_exactly_one_source(tmp_path, capsys):
         assert "--setup" in last and "--tree" in last, last
 
 
+@pytest.mark.parametrize(
+    "source,pair",
+    [
+        (["--setup", "1"], "--setup and --m"),
+        (["--setup", "1", "--m", "4", "--params", "missing.txt"], "--tree and --params"),
+        (["--tree", "TREE", "--params", "PARAMS", "--m", "4"], "--setup and --m"),
+        (["--tree", "TREE"], "--tree and --params"),
+    ],
+)
+def test_generate_pairs_setup_with_m_and_tree_with_params(tmp_path, capsys, source, pair):
+    # --m is read only with --setup and --params only with --tree, so
+    # either one with the other source is refused, not ignored
+    tree = star_file(tmp_path, 3)
+    params = tmp_path / "params.txt"
+    params.write_text(STAR3_CORR, encoding="utf-8")
+    paths = {"TREE": str(tree), "PARAMS": str(params)}
+    out = tmp_path / "x.csv"
+    argv = ["generate", *(paths.get(a, a) for a in source), "--n", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {pair} go together\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # test
 
@@ -373,16 +397,22 @@ def test_test_command_null_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main([
         "test", "--tree", str(tree), "--data", str(data),
-        "--seed", "0", "--out", str(out),
+        "--alpha", "0.1", "--seed", "0", "--out", str(out),
     ])
     printed = capsys.readouterr().out
     assert rc == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert json.loads(printed) == report
-    assert set(report) == {
+    # the report is the ``TestResult`` as it is, then the level and seed
+    values = np.loadtxt(data, delimiter=",", skiprows=1)
+    result = run_test(values, enumerate_constraints(load_tree(tree)),
+                      BootstrapConfig(alpha=0.1, seed=0))
+    expected = json.dumps({**asdict(result), "alpha": 0.1, "seed": 0}, indent=2) + "\n"
+    assert printed == expected
+    assert out.read_text(encoding="utf-8") == expected
+    report = json.loads(printed)
+    assert list(report) == [
         "statistic", "quantile", "p_value", "reject", "k_effective",
         "diag_floor_hits", "alpha", "seed",
-    }
+    ]
     assert report["k_effective"] == 30
     assert report["reject"] is False
     assert 0.0 < report["p_value"] <= 1.0
@@ -951,6 +981,20 @@ def test_simulate_workers_fault_few_pages_through_their_scratch(m, reps, bound):
     assert proc.stdout.startswith("alpha,empirical_size,reps\n")
     faults = int(proc.stderr.split()[-1])
     assert faults < bound, f"the workers faulted {faults} pages"
+
+
+def test_simulate_has_no_alpha_flag(tmp_path, capsys):
+    # simulate decides every level of --alpha-grid, so a single test
+    # level would be read by nothing
+    out = tmp_path / "sizes.csv"
+    with pytest.raises(SystemExit) as info:
+        main([
+            "simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "2",
+            "--alpha", "0.5", "--out", str(out),
+        ])
+    assert info.value.code == 2
+    assert "--alpha" in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_simulate_bad_alpha_grid(tmp_path, capsys):

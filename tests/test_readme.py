@@ -1,5 +1,5 @@
-"""The README's Python quick start runs as written, and the public API
-is no larger than its users.
+"""The README's Python quick start runs as written, its command lines
+parse, and the public API is no larger than its users.
 
 The snippet is read from README.md and executed against a ``data.csv``
 made by ``treegof generate``, so the documented API cannot be removed
@@ -10,12 +10,14 @@ acceptance tests.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import treegof
-from treegof.cli import main
+from treegof.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -56,3 +58,26 @@ def test_every_exported_function_has_a_user():
         and not re.search(rf"\b{name}\b", text)
     ]
     assert unused == []
+
+
+def _section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"## {title}\n", 1)[1]
+
+
+def test_readme_command_lines_parse():
+    block = re.search(r"```\n(.*?)```", _section("Command line"), re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) == 5
+    parser = build_parser()
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "treegof", line
+        # an unknown flag or a missing required one exits
+        assert parser.parse_args(argv).func.__name__ == "cmd_" + argv[0].replace("-", "_")
+
+
+def test_readme_lists_the_test_report_in_order():
+    # ``treegof test`` prints the ``TestResult`` fields, then alpha and seed
+    listed = re.search(r"`test` prints a JSON report \((.*?)\)", _section("Command line"), re.DOTALL)
+    keys = [f.name for f in dataclasses.fields(treegof.TestResult)] + ["alpha", "seed"]
+    assert re.split(r",\s+", listed.group(1)) == keys
