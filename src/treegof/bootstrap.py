@@ -380,22 +380,29 @@ def _chunk_rows(num_draws: int, omega: int) -> int:
     return max(1, min(num_draws, _CHUNK_BUDGET // omega))
 
 
-def _multiplier_chunks(omega: int, num_draws: int, seed, buffers):
-    """Yield (draw slice, multiplier chunk) pairs of ``_chunk_rows``
-    draws of ``omega`` multipliers each.
+def _multiplier_chunks(omega: int, num_draws: int, seed, buffers, kept=None):
+    """Yield (draw slice, multiplier chunk, rows drawn) triples of
+    ``_chunk_rows`` draws of ``omega`` multipliers each.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
     ``seed`` is a ``SeedSequence``, so every column group draws the same
     stream.  The chunks are drawn into ``buffers``, of one chunk each, in
     turn, so a chunk is overwritten when ``len(buffers)`` more are drawn.
+    A chunk is drawn whole, or, given ``kept``, one block of its tiles'
+    rows (``_tile_shape(len(chunk), kept)``) at a time, and yielded once
+    per block with the block's rows.
     """
     rng = np.random.default_rng(seed)
     chunk = _chunk_rows(num_draws, omega)
     for i, start in enumerate(range(0, num_draws, chunk)):
         take = min(chunk, num_draws - start)
-        e = rng.standard_normal(out=buffers[i % len(buffers)][:take])
-        yield slice(start, start + take), e
+        e = buffers[i % len(buffers)][:take]
+        height = take if kept is None else _tile_shape(take, kept)[0]
+        for lo in range(0, take, height):
+            rows = slice(lo, min(lo + height, take))
+            rng.standard_normal(out=e[rows])
+            yield slice(start, start + take), e, rows
 
 
 def _tile_shape(draws: int, kept: int):
@@ -449,7 +456,7 @@ def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
         spare.append(buffer)
 
 
-def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap=map):
+def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap=map, stop=None):
     """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
     peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap`` on
     ``jobs`` threads) combine by ``max``, which is exact.
@@ -462,6 +469,12 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap
     Each tile in flight has a tile buffer, at most one per thread and
     per tile of a chunk.  The chunks and tiles come from the ``work``
     region of ``scratch``.
+
+    Given ``stop``, each chunk is drawn and multiplied one row of tiles
+    at a time, and drawing ends once ``stop`` draws reach
+    ``fold.statistic``; the draws never made stay at -inf.  The stream
+    fills the rows in order and every tile keeps its shape, so the draws
+    made are those of a full run, bit for bit.
     """
     omega = fold.sums.shape[0]
     size = _chunk_rows(num_draws, omega)
@@ -471,22 +484,32 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap
     buffers = scratch.take("work", [(size, omega)] * chunks + [(height * width,)] * in_flight)
     out = np.full(num_draws, -np.inf)
     if stream is None:
-        drawn = _multiplier_chunks(omega, num_draws, seed, buffers[:chunks])
+        kept = None if stop is None else fold.k_effective
+        drawn = _multiplier_chunks(omega, num_draws, seed, buffers[:chunks], kept)
     else:
-        drawn = iter([(slice(0, num_draws), stream)])
+        drawn = iter([(slice(0, num_draws), stream, slice(0, num_draws))])
     spare = deque(buffers[chunks:])
+    reached = 0
     chunk = next(drawn, None)
     while chunk is not None:
-        draws, e = chunk
-        tiles = _coordinate_tiles(fold, len(e))
+        draws, e, block = chunk
+        tiles = [
+            tile for tile in _coordinate_tiles(fold, len(e))
+            if block.start <= tile[0].start < block.stop
+        ]
         peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
-        chunk = next(drawn, None)
+        # drawn while the threads work, unless this block may end the draws
+        if stop is None:
+            chunk = next(drawn, None)
         for (rows, _), tile_peaks in zip(tiles, peaks):
             np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
+        if stop is not None:
+            reached += np.count_nonzero(out[draws][block] >= fold.statistic)
+            chunk = next(drawn, None) if reached < stop else None
     return out
 
 
-def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map):
+def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map, stop=None):
     """The statistic, the sup-norm draws, the kept columns and all
     columns of the column groups of ``folds`` (from ``_folds``), each
     group folded and then drawn in the memory of ``scratch``.  ``folds``
@@ -499,6 +522,10 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map):
     draws a chunk).  A group with no kept column draws nothing.  The
     groups' statistics and draws combine by ``max``, which is exact and
     independent of order.
+
+    ``stop`` ends the draws once that many reach the statistic
+    (``_draws``), and only when there is one group: with more, the
+    statistic is not known until the last group is folded.
     """
     seed = _seed_sequence(seed)
     statistic = -math.inf
@@ -520,7 +547,8 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map):
             if stream is None and groups > 1 and one_chunk:
                 held = scratch.take("stream", [(num_draws, omega)])
                 stream = next(_multiplier_chunks(omega, num_draws, seed, held))[1]
-            peaks = _draws(fold, num_draws, seed, scratch, jobs, stream, imap)
+            group_stop = stop if groups == 1 else None
+            peaks = _draws(fold, num_draws, seed, scratch, jobs, stream, imap, group_stop)
             np.maximum(draws, peaks, out=draws)
     return statistic, draws, _require_columns(kept, columns), columns
 
@@ -580,7 +608,7 @@ def bootstrap_coordinates(
         if fold.k_effective:
             omega = fold.sums.shape[0]
             buffer = scratch.take("work", [(_chunk_rows(num_draws, omega), omega)])
-            for draws, e in _multiplier_chunks(omega, num_draws, seed, buffer):
+            for draws, e, _ in _multiplier_chunks(omega, num_draws, seed, buffer):
                 for rows, cols in _coordinate_tiles(fold, len(e)):
                     np.matmul(e[rows], fold.sums[:, cols], out=out[draws][rows, cols])
         groups.append(out)
@@ -608,11 +636,12 @@ def quantile_from_draws(draws: np.ndarray, alpha: float) -> float:
 
 
 def _fold_and_draw(
-    held: list, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int, scratch
+    held: list, constraints: ConstraintSystem, config: BootstrapConfig, jobs: int, scratch,
+    stop=None,
 ):
     """``_bootstrap`` of the estimate columns of the data in the one-item
     list ``held``, on ``jobs`` threads, with the large buffers taken from
-    ``scratch``.
+    ``scratch``, and with its ``stop``.
 
     Each copy of the data lives only while a phase reads it: ``held`` is
     emptied once the column source has its own centred copy, so data that
@@ -632,7 +661,7 @@ def _fold_and_draw(
     with _ordered_map(jobs) as imap:
         folds = _folds(source, config.batch_size, scratch, jobs, imap)
         del source, x
-        return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, imap=imap)
+        return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, imap, stop)
 
 
 def statistic_and_draws(

@@ -29,13 +29,7 @@ from functools import partial
 import numpy as np
 
 from ._svg import size_plot
-from .bootstrap import (
-    BootstrapConfig,
-    Scratch,
-    _quantile_index,
-    run_test,
-    statistic_and_draws,
-)
+from .bootstrap import BootstrapConfig, Scratch, _fold_and_draw, _quantile_index, run_test
 from .metric import is_t_induced
 from .model import (
     TreeModelParams,
@@ -301,10 +295,16 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _simulate_block(cov, system, n, config, entropy, reps):
+def _simulate_block(cov, system, n, config, entropy, stop, reps):
     """The count of draws at or above the statistic of each replication
-    of ``reps``, in order.  Only these counts reach the parent, which
-    never holds a replications x draws array.
+    of ``reps``, in order, capped at ``stop``.  Only these counts reach
+    the parent, which never holds a replications x draws array.
+
+    A count capped at the largest threshold of the levels decides each
+    level as the full count does, so a replication stops drawing once
+    ``stop`` draws reach its statistic (``bootstrap._draws``), and no
+    output byte changes.  A fold of more than one column group makes
+    every draw: its statistic is known only once every group is folded.
 
     The replications run through one bootstrap ``Scratch``: its buffers
     are allocated once per block, not once per replication, and so are
@@ -328,8 +328,8 @@ def _simulate_block(cov, system, n, config, entropy, reps):
         test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
         x = _draw(chol, n, data_ss)
         test_config = replace(config, seed=test_ss)
-        stat, draws = statistic_and_draws(x, system, test_config, scratch)
-        counts.append(int(np.count_nonzero(draws >= stat)))
+        stat, draws, _, _ = _fold_and_draw([x], system, test_config, 1, scratch, stop)
+        counts.append(min(int(np.count_nonzero(draws >= stat)), stop))
     return counts
 
 
@@ -346,9 +346,12 @@ def cmd_simulate(args) -> int:
     system = enumerate_constraints(_star_tree(args.m))
     params_ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 2))
     params = setup_params(args.setup, args.m, params_ss)
+    # the statistic exceeds the order statistic at index j of the E sorted
+    # draws exactly when fewer than E - j draws reach it
+    thresholds = [num_draws - _quantile_index(num_draws, a) for a in alphas]
     run_block = partial(
         _simulate_block, covariance_from_factor(params), system, args.n,
-        config, args.seed,
+        config, args.seed, max(thresholds),
     )
     blocks = [range(args.reps)]
     with ExitStack() as stack:
@@ -365,9 +368,7 @@ def cmd_simulate(args) -> int:
             blocks = [range(lo, min(lo + size, args.reps)) for lo in range(0, args.reps, size)]
             imap = stack.enter_context(get_context(_START_METHOD).Pool(args.jobs)).imap
         counts = np.array([count for block in imap(run_block, blocks) for count in block])
-    # the statistic exceeds the order statistic at index j of the E sorted
-    # draws exactly when fewer than E - j draws reach it
-    sizes = [(counts < num_draws - _quantile_index(num_draws, a)).mean() for a in alphas]
+    sizes = [(counts < threshold).mean() for threshold in thresholds]
 
     rows = [(repr(a), _fmt(s), args.reps) for a, s in zip(alphas, sizes)]
     _write_rows(args.out, ("alpha", "empirical_size", "reps"), rows)
@@ -446,11 +447,17 @@ def _add_bootstrap_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags anywhere: a flag added later would change what
+    # a shorter spelling means, as ``--alpha`` once read ``--alpha-grid``
     parser = argparse.ArgumentParser(
         prog="treegof",
         description="Goodness-of-fit tests for Gaussian latent tree models.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("enumerate", help="list the constraints of a tree")
     p.add_argument("--tree", required=True, help="tree file")
@@ -469,10 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bootstrap_flags(p)
     p.set_defaults(func=cmd_test)
 
-    # no abbreviated flags: ``--alpha`` would be read as ``--alpha-grid``
-    p = sub.add_parser(
-        "simulate", help="empirical size curve of the test", allow_abbrev=False
-    )
+    p = sub.add_parser("simulate", help="empirical size curve of the test")
     p.add_argument("--setup", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True, help="observed variables")
     p.add_argument("--n", type=int, required=True, help="sample size")

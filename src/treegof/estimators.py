@@ -25,6 +25,11 @@ __all__ = [
     "plugin_tetrads",
 ]
 
+# most values of a column block whose finiteness ``EstimateSequence``
+# checks at once: ``isfinite`` of the whole matrix holds a boolean copy
+# of it, an eighth of its size
+_CHECK_BLOCK = 65_536
+
 
 def _data_array(data, m: int) -> np.ndarray:
     """``data`` (an array or a ``SampleMatrix``) as an n x m float array
@@ -106,8 +111,10 @@ class EstimateSequence:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be two-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("estimate values contain non-finite entries")
+        width = max(1, _CHECK_BLOCK // max(values.shape[0], 1))
+        for lo in range(0, values.shape[1], width):
+            if not np.isfinite(values[:, lo : lo + width]).all():
+                raise ValueError("estimate values contain non-finite entries")
         one_sided = np.asarray(self.one_sided, dtype=bool)
         if one_sided.shape != (values.shape[1],):
             raise ValueError("one_sided mask must have one entry per column")

@@ -514,6 +514,60 @@ def test_results_invariant_to_column_groups(seed, mode):
             assert got.quantile == pytest.approx(whole.quantile, rel=1e-12, abs=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([40, 255, 600, 1000]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([None, 300]),
+    st.sampled_from(["equalities", "all"]),
+    st.sampled_from([1, 2]),
+)
+def test_stopped_draws_give_the_capped_full_count(seed, num_draws, share, chunk_rows, mode, jobs):
+    # ``simulate``'s stop at T: the draws made are the first ones of the
+    # full run, bit for bit, the rest stay at -inf, drawing ends within a
+    # tile height (256 draws) of the T-th draw to reach the statistic,
+    # and the count capped at T is the full count capped at T.  E below
+    # and not a multiple of the tile height, and chunks of 300 draws,
+    # whose last row of tiles is short
+    rng = np.random.default_rng(seed)
+    system = enumerate_constraints(random_latent_tree(rng, m_lo=4, m_hi=7))
+    n = int(rng.integers(60, 200))
+    x = rng.standard_normal((n, system.m))
+    config = BootstrapConfig(num_multipliers=num_draws, seed=seed, mode=mode)
+    stop = 1 + int(share * num_draws)
+    omega = (n - (2 if mode == "all" else 1)) // 3
+    budget = btmod._CHUNK_BUDGET if chunk_rows is None else chunk_rows * omega
+    with mock.patch.object(btmod, "_CHUNK_BUDGET", budget):
+        stat, full = statistic_and_draws(x, system, config, Scratch())
+        got_stat, drawn, _, _ = btmod._fold_and_draw([x], system, config, jobs, Scratch(), stop)
+    assert got_stat == stat
+    made = int(np.isfinite(drawn).sum())
+    np.testing.assert_array_equal(drawn[:made], full[:made])
+    assert (drawn[made:] == -np.inf).all()
+    count = int(np.count_nonzero(full >= stat))
+    assert min(int(np.count_nonzero(drawn >= stat)), stop) == min(count, stop)
+    assert np.count_nonzero(full[: max(made - 256, 0)] >= stat) < stop
+    if made < num_draws:
+        assert np.count_nonzero(full[:made] >= stat) >= stop
+
+
+def test_stop_draws_everything_with_more_than_one_column_group():
+    # the statistic is known only once every group is folded, so a stop
+    # passed with several groups makes every draw
+    data, system, config = _null_case(6, 250, 3)
+    _, drawn, _, _ = btmod._fold_and_draw([data], system, config, 1, Scratch(), 1)
+    assert np.isfinite(drawn).sum() < config.num_multipliers
+    # 30 columns in four groups of at most eight, which share one held
+    # stream or replay a stream of several chunks
+    for chunk in (btmod._CHUNK_BUDGET, 2000):
+        with _grouped(1, 8, 1, chunk):
+            stat, full = statistic_and_draws(data, system, config, Scratch())
+            got_stat, drawn, _, _ = btmod._fold_and_draw([data], system, config, 1, Scratch(), 1)
+        assert got_stat == stat
+        np.testing.assert_array_equal(drawn, full)
+
+
 def test_degenerate_column_group_draws_nothing():
     # the first 20 of 30 columns hold the constant variable, so the
     # first five 4-column groups keep no column and draw nothing

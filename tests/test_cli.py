@@ -815,19 +815,88 @@ def test_simulate_block_counts_decide_like_the_public_quantiles():
     assert levels[:2] == [9, 9]
     system = enumerate_constraints(climod._star_tree(m))
     cov = covariance_from_factor(setup_params(2, m, seed=1))
-    counts = climod._simulate_block(cov, system, n, config, entropy, range(2, 6))
-    assert len(counts) == 4
-    for rep, count in zip(range(2, 6), counts):
-        data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
-        test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
-        x = sample(cov, n, data_ss)
-        stat, draws = statistic_and_draws(
-            x, system, replace(config, seed=test_ss), Scratch()
-        )
-        assert type(count) is int
-        assert count == np.count_nonzero(draws >= stat)
-        for alpha, j in zip(alphas, levels):
-            assert (count < 10 - j) == (stat > quantile_from_draws(draws, alpha))
+    # the largest threshold of the four levels, as ``cmd_simulate`` passes
+    # it, and a smaller one, which decides only the levels below it
+    for stop in (max(10 - j for j in levels), 5):
+        counts = climod._simulate_block(cov, system, n, config, entropy, stop, range(2, 6))
+        assert len(counts) == 4
+        for rep, count in zip(range(2, 6), counts):
+            data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
+            test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+            x = sample(cov, n, data_ss)
+            stat, draws = statistic_and_draws(
+                x, system, replace(config, seed=test_ss), Scratch()
+            )
+            assert type(count) is int
+            assert count == min(np.count_nonzero(draws >= stat), stop)
+            for alpha, j in zip(alphas, levels):
+                if 10 - j <= stop:
+                    assert (count < 10 - j) == (stat > quantile_from_draws(draws, alpha))
+
+
+def _simulate_with_and_without_stop(tmp_path, monkeypatch, argv, jobs):
+    # the outputs of ``simulate argv`` with its stop and with T = E + 1,
+    # which makes every draw, and the draws each replication made with
+    # the stop, read where they run (so only with one job).  Forked
+    # workers call the patched functions too
+    fold_and_draw = climod._fold_and_draw
+    made = []
+
+    def counting(*args):
+        result = fold_and_draw(*args)
+        made.append(int(np.isfinite(result[1]).sum()))
+        return result
+
+    def drawing_all(held, system, config, jobs, scratch, stop):
+        return fold_and_draw(held, system, config, jobs, scratch, config.num_multipliers + 1)
+
+    outputs = []
+    for name, call in (("stop", counting), ("all", drawing_all)):
+        monkeypatch.setattr(climod, "_fold_and_draw", call)
+        out = tmp_path / f"{name}{jobs}.csv"
+        assert main(["simulate", *argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
+    return outputs, made
+
+
+_STOP_CASES = {
+    "default grid": ["--setup", "2", "--m", "6", "--n", "200", "--reps", "24", "--seed", "3"],
+    "E=300, levels near 1": [
+        "--setup", "1", "--m", "5", "--n", "150", "--reps", "16", "--multipliers", "300",
+        "--mode", "all", "--batch", "4", "--alpha-grid", "0.5,0.99", "--seed", "1",
+    ],
+    "E=200, subsample": [
+        "--setup", "2", "--m", "7", "--n", "120", "--reps", "16", "--multipliers", "200",
+        "--subsample", "30", "--alpha-grid", "0.01,0.2,0.5", "--seed", "5",
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("argv", _STOP_CASES.values(), ids=_STOP_CASES)
+def test_simulate_bytes_equal_those_with_the_stop_off(tmp_path, capsys, monkeypatch, argv, jobs):
+    # a replication stops drawing once T draws reach its statistic, and
+    # no byte of the CSV or the SVG moves.  E=300 is not a multiple of
+    # the 256-draw tile height and E=200 is below it; at levels 0.5 and
+    # 0.99, T is 292 of 300 draws, so the replications rarely stop
+    if jobs > 1 and climod._START_METHOD != "fork":
+        pytest.skip("spawned workers do not call the patched functions")
+    (stopped, full), made = _simulate_with_and_without_stop(tmp_path, monkeypatch, argv, jobs)
+    capsys.readouterr()
+    assert stopped == full
+    if jobs == 1 and argv is _STOP_CASES["default grid"]:
+        assert len(made) == 24 and min(made) < 1000
+
+
+@pytest.mark.skipif(not os.environ.get("TREEGOF_SLOW"), reason="set TREEGOF_SLOW=1 to run")
+def test_simulate_m20_makes_every_draw(tmp_path, capsys, monkeypatch):
+    # at m=20 and n=500 the fold has two column groups, so no replication
+    # stops, and the bytes are those of the run with the stop off
+    argv = ["--setup", "2", "--m", "20", "--n", "500", "--reps", "40", "--seed", "0"]
+    (stopped, full), made = _simulate_with_and_without_stop(tmp_path, monkeypatch, argv, 1)
+    capsys.readouterr()
+    assert stopped == full
+    assert made == [1000] * 40
 
 
 @settings(max_examples=300, deadline=None)
@@ -995,6 +1064,27 @@ def test_simulate_has_no_alpha_flag(tmp_path, capsys):
     assert info.value.code == 2
     assert "--alpha" in capsys.readouterr().err.splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--hel", ["--hel", "enumerate", "--tree", "t.tree"]),
+    ("--tre", ["enumerate", "--tre", "t.tree"]),
+    ("--multi", ["test", "--tree", "t.tree", "--data", "d.csv", "--multi", "50"]),
+    ("--alph", ["test", "--tree", "t.tree", "--data", "d.csv", "--alph", "0.5"]),
+    ("--see", ["simulate", "--setup", "1", "--m", "4", "--n", "40", "--reps", "2", "--see", "1"]),
+    ("--see", ["generate", "--setup", "1", "--m", "4", "--n", "10", "--see", "1"]),
+    ("--dat", ["check-metric", "--tree", "t.tree", "--dat", "d.csv"]),
+], ids=["treegof", "enumerate", "test multipliers", "test alpha", "simulate", "generate",
+        "check-metric"])
+def test_every_parser_refuses_abbreviated_flags(tmp_path, capsys, monkeypatch, flag, argv):
+    # an abbreviation would change meaning once a longer flag shares its
+    # prefix; it exits 2 before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_bad_alpha_grid(tmp_path, capsys):

@@ -291,6 +291,28 @@ def test_estimate_sequence_rejects_bad_input():
         EstimateSequence(np.ones((3, 2)), np.zeros(3, dtype=bool))
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_estimate_sequence_checks_finiteness_a_column_block_at_a_time(order):
+    # the 20-leaf star's matrix (499 x 9,690, 36.9 MiB): a whole-matrix
+    # ``isfinite`` held a boolean copy of it, 0.125 times its size
+    values = np.asarray(np.random.default_rng(0).standard_normal((499, 9690)), order=order)
+    sided = np.zeros(9690, dtype=bool)
+    tracemalloc.start()
+    try:
+        seq = EstimateSequence(values, sided)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.values is values
+    assert peak < 0.02 * values.nbytes, f"traced peak {peak / values.nbytes:.3f}x the matrix"
+    # a bad entry in any block, the last included, is found
+    for row, col, bad in ((0, 0, np.nan), (498, 9689, np.inf), (250, 5000, -np.inf)):
+        broken = values.copy(order=order)
+        broken[row, col] = bad
+        with pytest.raises(ValueError, match="^estimate values contain non-finite entries$"):
+            EstimateSequence(broken, sided)
+
+
 def _row_major_columns(x, system, mode, center):
     """The estimate matrix from row-major data: the builder's arithmetic
     gathering from C-ordered rows."""
