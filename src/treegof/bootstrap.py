@@ -26,7 +26,6 @@ from .tree import ConstraintSystem
 
 __all__ = [
     "BootstrapConfig",
-    "Scratch",
     "TestResult",
     "HotellingResult",
     "batched_diag",
@@ -35,7 +34,6 @@ __all__ = [
     "bootstrap_coordinates",
     "quantile_from_draws",
     "run_test",
-    "statistic_and_draws",
     "hotelling_statistic",
 ]
 
@@ -47,8 +45,8 @@ DIAG_FLOOR = 1e-300
 # whole batch-sum store, so chunks stay large
 _CHUNK_BUDGET = 500_000
 
-# budget, in doubles, of the block one thread works on at a time: an
-# estimate-column chunk or a coordinate tile
+# budget, in doubles, of the estimate-column chunk one thread builds
+# and reduces at a time
 _BLOCK_BUDGET = 65_536
 
 # most draws and most columns of a coordinate tile.  Every tile
@@ -70,6 +68,14 @@ _SUMS_BUDGET = 1 << 20
 _MIN_GROUP = 16 * _TILE_SIDE
 
 
+def _require_count(name: str, value, when: str = "") -> None:
+    # a count is an integer of at least 1; the error names the count
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1{when}")
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Knobs of one bootstrap test run.
@@ -89,16 +95,14 @@ class BootstrapConfig:
     subsample: Optional[int] = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.num_multipliers < 1:
-            raise ValueError("num_multipliers must be at least 1")
+        _require_count("batch_size", self.batch_size)
+        _require_count("num_multipliers", self.num_multipliers)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.mode not in ("equalities", "all"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.subsample is not None and self.subsample < 1:
-            raise ValueError("subsample must be at least 1 when given")
+        if self.subsample is not None:
+            _require_count("subsample", self.subsample, " when given")
 
 
 @dataclass(frozen=True)
@@ -286,12 +290,12 @@ def _fold_chunk(source, spare, batch_size, store, group, cols):
     return d, sided, peak
 
 
-def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, jobs, imap):
+def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, jobs):
     """One pass over the estimate columns of ``group`` of ``source``,
-    chunk by chunk in canonical order; ``imap`` runs the chunks on
-    ``jobs`` threads.
+    chunk by chunk in canonical order, on ``jobs`` threads of a pool of
+    its own.
 
-    Per chunk (``_fold_chunk``, mapped by ``imap``): column means,
+    Per chunk (``_fold_chunk``): column means,
     non-overlapping batch sums of deviations from them, variance proxies
     (the diagonal of the batched covariance estimator) and the
     studentized means.  Rows beyond the largest multiple of the batch
@@ -316,19 +320,20 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     n = len(space)
     spare = deque(tuple(buffers[i * n : i * n + n]) for i in range(spaces))
     work = partial(_fold_chunk, source, spare, batch_size, store, group)
-    for cols, (d, sided, peak) in zip(slices, imap(work, slices)):
-        lo = cols.start - group.start
-        diag[lo : cols.stop - group.start] = d
-        take = len(sided)
-        statistic = max(statistic, peak)
-        if kept < lo:
-            store[:, kept : kept + take] = store[:, lo : lo + take]
-        kept_sided[kept : kept + take] = sided
-        kept += take
+    with _ordered_map(jobs) as imap:
+        for cols, (d, sided, peak) in zip(slices, imap(work, slices)):
+            lo = cols.start - group.start
+            diag[lo : cols.stop - group.start] = d
+            take = len(sided)
+            statistic = max(statistic, peak)
+            if kept < lo:
+                store[:, kept : kept + take] = store[:, lo : lo + take]
+            kept_sided[kept : kept + take] = sided
+            kept += take
     return _Fold(statistic, diag, store[:, :kept], kept_sided[:kept])
 
 
-def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
+def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1):
     """One call per column group of ``source``, in order, that folds the
     group (``_fold``) and returns its ``_Fold``.
 
@@ -341,8 +346,7 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
     region of ``scratch``, so only one group's sums are alive, and a
     fold's ``sums`` hold only until the next group is folded.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    _require_count("batch_size", batch_size)
     omega = source.n_rows // batch_size
     if omega < 2:
         raise ValueError(
@@ -352,7 +356,7 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1, imap=map):
     groups = _column_groups(omega, len(source.one_sided))
     (store,) = scratch.take("store", [(omega, groups[0].stop)])
     return [
-        partial(_fold, source, batch_size, group, store, scratch, jobs, imap)
+        partial(_fold, source, batch_size, group, store, scratch, jobs)
         for group in groups
     ]
 
@@ -381,17 +385,16 @@ def _chunk_rows(num_draws: int, omega: int) -> int:
 
 
 def _multiplier_chunks(omega: int, num_draws: int, seed, buffers, kept=None):
-    """Yield (draw slice, multiplier chunk, rows drawn) triples of
-    ``_chunk_rows`` draws of ``omega`` multipliers each.
+    """Yield (draw slice, multipliers) pairs of chunks of ``_chunk_rows``
+    draws of ``omega`` multipliers each: whole chunks, or, given
+    ``kept``, a chunk's rows of tiles (``_tile_shape``) one at a time.
 
     A single generator instance produces the multiplier stream in
     row-major order, so the chunk size never changes the values drawn.
     ``seed`` is a ``SeedSequence``, so every column group draws the same
     stream.  The chunks are drawn into ``buffers``, of one chunk each, in
-    turn, so a chunk is overwritten when ``len(buffers)`` more are drawn.
-    A chunk is drawn whole, or, given ``kept``, one block of its tiles'
-    rows (``_tile_shape(len(chunk), kept)``) at a time, and yielded once
-    per block with the block's rows.
+    turn, so a chunk (and a row of it, a view) is overwritten when
+    ``len(buffers)`` more are drawn.
     """
     rng = np.random.default_rng(seed)
     chunk = _chunk_rows(num_draws, omega)
@@ -400,19 +403,18 @@ def _multiplier_chunks(omega: int, num_draws: int, seed, buffers, kept=None):
         e = buffers[i % len(buffers)][:take]
         height = take if kept is None else _tile_shape(take, kept)[0]
         for lo in range(0, take, height):
-            rows = slice(lo, min(lo + height, take))
-            rng.standard_normal(out=e[rows])
-            yield slice(start, start + take), e, rows
+            rows = e[lo : lo + height]
+            rng.standard_normal(out=rows)
+            yield slice(start + lo, start + lo + len(rows)), rows
 
 
 def _tile_shape(draws: int, kept: int):
     """Most rows and columns of a coordinate tile of a chunk of
     ``draws`` multipliers over ``kept`` columns: at most ``_TILE_SIDE``
-    rows and columns and ``_BLOCK_BUDGET`` coordinates, and at most half
-    the kept columns wide, so that two threads share even a narrow
-    chunk."""
-    height = max(1, min(draws, _TILE_SIDE, _BLOCK_BUDGET))
-    return height, max(1, min(_TILE_SIDE, _BLOCK_BUDGET // height, (kept + 1) // 2))
+    of each, and at most half the kept columns wide, so that two threads
+    share even a narrow chunk.  The width does not depend on ``draws``,
+    so a row of a chunk's tiles, as a chunk of its own, has those tiles."""
+    return min(draws, _TILE_SIDE), min(_TILE_SIDE, (kept + 1) // 2)
 
 
 def _coordinate_tiles(fold: _Fold, draws: int):
@@ -456,10 +458,10 @@ def _tile_peaks(fold: _Fold, e: np.ndarray, spare: deque, tile) -> np.ndarray:
         spare.append(buffer)
 
 
-def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap=map, stop=None):
+def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, stop=None):
     """Sup-norm draws, multiplier chunk by multiplier chunk: the per-draw
-    peaks of a chunk's tiles (``_tile_peaks``, mapped by ``imap`` on
-    ``jobs`` threads) combine by ``max``, which is exact.
+    peaks of a chunk's tiles (``_tile_peaks``, on ``jobs`` threads of a
+    pool of its own) combine by ``max``, which is exact.
 
     The calling thread draws the next chunk while the threads work on
     the current one, and takes every peak of a chunk before it draws the
@@ -473,8 +475,8 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap
     Given ``stop``, each chunk is drawn and multiplied one row of tiles
     at a time, and drawing ends once ``stop`` draws reach
     ``fold.statistic``; the draws never made stay at -inf.  The stream
-    fills the rows in order and every tile keeps its shape, so the draws
-    made are those of a full run, bit for bit.
+    fills the rows in order and a row's tiles are its chunk's, so the
+    draws made are those of a full run, bit for bit.
     """
     omega = fold.sums.shape[0]
     size = _chunk_rows(num_draws, omega)
@@ -487,29 +489,27 @@ def _draws(fold: _Fold, num_draws: int, seed, scratch, jobs=1, stream=None, imap
         kept = None if stop is None else fold.k_effective
         drawn = _multiplier_chunks(omega, num_draws, seed, buffers[:chunks], kept)
     else:
-        drawn = iter([(slice(0, num_draws), stream, slice(0, num_draws))])
+        drawn = iter([(slice(0, num_draws), stream)])
     spare = deque(buffers[chunks:])
     reached = 0
     chunk = next(drawn, None)
-    while chunk is not None:
-        draws, e, block = chunk
-        tiles = [
-            tile for tile in _coordinate_tiles(fold, len(e))
-            if block.start <= tile[0].start < block.stop
-        ]
-        peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
-        # drawn while the threads work, unless this block may end the draws
-        if stop is None:
-            chunk = next(drawn, None)
-        for (rows, _), tile_peaks in zip(tiles, peaks):
-            np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
-        if stop is not None:
-            reached += np.count_nonzero(out[draws][block] >= fold.statistic)
-            chunk = next(drawn, None) if reached < stop else None
+    with _ordered_map(jobs) as imap:
+        while chunk is not None:
+            draws, e = chunk
+            tiles = _coordinate_tiles(fold, len(e))
+            peaks = imap(partial(_tile_peaks, fold, e, spare), tiles)
+            # drawn while the threads work, unless this one may end the draws
+            if stop is None:
+                chunk = next(drawn, None)
+            for (rows, _), tile_peaks in zip(tiles, peaks):
+                np.maximum(out[draws][rows], tile_peaks, out=out[draws][rows])
+            if stop is not None:
+                reached += np.count_nonzero(out[draws] >= fold.statistic)
+                chunk = next(drawn, None) if reached < stop else None
     return out
 
 
-def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map, stop=None):
+def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, stop=None):
     """The statistic, the sup-norm draws, the kept columns and all
     columns of the column groups of ``folds`` (from ``_folds``), each
     group folded and then drawn in the memory of ``scratch``.  ``folds``
@@ -518,8 +518,8 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map, stop=None
     Every group's draws replay the multiplier stream from ``seed`` with
     a fresh generator, except that when there is more than one group, a
     stream of one chunk is drawn once into the ``stream`` region and
-    kept for every group (the threads wait while the calling thread
-    draws a chunk).  A group with no kept column draws nothing.  The
+    kept for every group (drawn on the calling thread alone, between the
+    first group's fold and its draws).  A group with no kept column draws nothing.  The
     groups' statistics and draws combine by ``max``, which is exact and
     independent of order.
 
@@ -545,10 +545,10 @@ def _bootstrap(folds, num_draws: int, seed, scratch, jobs=1, imap=map, stop=None
             omega = fold.sums.shape[0]
             one_chunk = _chunk_rows(num_draws, omega) == num_draws
             if stream is None and groups > 1 and one_chunk:
-                held = scratch.take("stream", [(num_draws, omega)])
-                stream = next(_multiplier_chunks(omega, num_draws, seed, held))[1]
+                (stream,) = scratch.take("stream", [(num_draws, omega)])
+                np.random.default_rng(seed).standard_normal(out=stream)
             group_stop = stop if groups == 1 else None
-            peaks = _draws(fold, num_draws, seed, scratch, jobs, stream, imap, group_stop)
+            peaks = _draws(fold, num_draws, seed, scratch, jobs, stream, group_stop)
             np.maximum(draws, peaks, out=draws)
     return statistic, draws, _require_columns(kept, columns), columns
 
@@ -581,8 +581,7 @@ def multiplier_draws(
     statistic (absolute for equality columns, signed for one-sided
     ones).
     """
-    if num_draws < 1:
-        raise ValueError("num_draws must be at least 1")
+    _require_count("num_draws", num_draws)
     scratch = Scratch()
     return _bootstrap(_folds(seq, batch_size, scratch), num_draws, seed, scratch)[1]
 
@@ -597,8 +596,7 @@ def bootstrap_coordinates(
     coordinates whose signed/absolute row maxima are exactly the draws.
     Conditionally on the data, every coordinate has variance 1.
     """
-    if num_draws < 1:
-        raise ValueError("num_draws must be at least 1")
+    _require_count("num_draws", num_draws)
     seed = _seed_sequence(seed)
     scratch = Scratch()
     groups = []
@@ -608,7 +606,7 @@ def bootstrap_coordinates(
         if fold.k_effective:
             omega = fold.sums.shape[0]
             buffer = scratch.take("work", [(_chunk_rows(num_draws, omega), omega)])
-            for draws, e, _ in _multiplier_chunks(omega, num_draws, seed, buffer):
+            for draws, e in _multiplier_chunks(omega, num_draws, seed, buffer):
                 for rows, cols in _coordinate_tiles(fold, len(e)):
                     np.matmul(e[rows], fold.sums[:, cols], out=out[draws][rows, cols])
         groups.append(out)
@@ -658,23 +656,9 @@ def _fold_and_draw(
     # changes no result, and tiny or huge units neither underflow nor overflow
     x = source.x
     np.ldexp(x, -np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1], out=x)
-    with _ordered_map(jobs) as imap:
-        folds = _folds(source, config.batch_size, scratch, jobs, imap)
-        del source, x
-        return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, imap, stop)
-
-
-def statistic_and_draws(
-    data, constraints: ConstraintSystem, config: BootstrapConfig, scratch: Scratch
-):
-    """The test statistic and its bootstrap draws, from one pass over
-    the estimate columns on the calling thread; ``run_test`` compares
-    exactly these.
-
-    The large buffers come from ``scratch``, so a loop of tests that
-    passes one ``Scratch()`` to every call allocates them once."""
-    stat, draws, _, _ = _fold_and_draw([data], constraints, config, 1, scratch)
-    return stat, draws
+    folds = _folds(source, config.batch_size, scratch, jobs)
+    del source, x
+    return _bootstrap(folds, config.num_multipliers, mult_ss, scratch, jobs, stop)
 
 
 def run_test(

@@ -15,12 +15,13 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
@@ -36,7 +37,6 @@ from treegof.bootstrap import (
     multiplier_draws,
     quantile_from_draws,
     run_test,
-    statistic_and_draws,
 )
 from treegof.bootstrap import test_statistic as sup_statistic
 from treegof.estimators import (
@@ -55,10 +55,10 @@ from treegof.model import (
 from treegof.tree import ConstraintSystem, LatentTree, enumerate_constraints
 
 
-def _folds(source, batch_size, imap=map, jobs=1):
+def _folds(source, batch_size, jobs=1):
     # the folds of one call with a fresh scratch of its own, one group at
     # a time
-    return (fold() for fold in btmod._folds(source, batch_size, Scratch(), jobs, imap))
+    return (fold() for fold in btmod._folds(source, batch_size, Scratch(), jobs))
 
 
 def _seq(values, one_sided=None):
@@ -136,8 +136,7 @@ def test_stored_batch_sums_have_unit_norm(monkeypatch, mode):
     source = column_source(x, system, mode)
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 4 * source.n_rows)
     for jobs in (1, 2):
-        with btmod._ordered_map(jobs) as imap:
-            (fold,) = _folds(source, 3, imap, jobs)
+        (fold,) = _folds(source, 3, jobs)
         assert 0 < fold.k_effective < len(fold.diag)
         # each column's squares add pairwise as one contiguous vector
         norms = np.sqrt((fold.sums.T.copy() ** 2).sum(axis=1))
@@ -193,6 +192,28 @@ def test_draw_calls_refuse_num_draws_below_one(call, num_draws):
     seq = _seq(np.arange(59.0))
     with pytest.raises(ValueError, match="^num_draws must be at least 1$"):
         call(seq, 3, num_draws, 0)
+
+
+_SEQ59 = _seq(np.arange(59.0))
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("batch_size", 2.5, lambda v: BootstrapConfig(batch_size=v)),
+    ("batch_size", 3.0, lambda v: BootstrapConfig(batch_size=v)),
+    ("num_multipliers", 100.5, lambda v: BootstrapConfig(num_multipliers=v)),
+    ("subsample", 3.5, lambda v: BootstrapConfig(subsample=v)),
+    ("batch_size", 2.5, lambda v: batched_diag(_SEQ59, v)),
+    ("num_draws", 10.0, lambda v: multiplier_draws(_SEQ59, 3, v, 0)),
+    ("num_draws", 10.0, lambda v: bootstrap_coordinates(_SEQ59, 3, v, 0)),
+], ids=[
+    "config batch_size", "config integral float batch_size", "config num_multipliers",
+    "config subsample", "batched_diag", "multiplier_draws", "bootstrap_coordinates",
+])
+def test_counts_refuse_non_integers_by_name(name, value, call):
+    # a float count failed deep inside numpy, or Python's range, without
+    # naming the field
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
+        call(value)
 
 
 def test_constant_column_excluded_from_statistic():
@@ -324,19 +345,19 @@ def test_draws_invariant_to_chunk_size(monkeypatch):
         np.testing.assert_allclose(chunked, full, rtol=1e-12)
         np.testing.assert_array_equal(batched_diag(seq, 3), diag)
 
-    # whole runs: budgets of 1 give one column per chunk, one draw per
-    # multiplier chunk and one-coordinate tiles; 3 * omega gives three
-    # draws per chunk and tiles of up to omega columns.  Per-column
-    # arithmetic does not depend on the chunking, so the statistic is
-    # exact.
+    # whole runs: budgets of 1 give one column per chunk and one draw per
+    # multiplier chunk, and with a tile side of 1 one-coordinate tiles;
+    # 3 * omega gives three draws per chunk.  Per-column arithmetic does
+    # not depend on the chunking, so the statistic is exact.
     for kwargs in ({"mode": "equalities"}, {"mode": "all"}, {"subsample": 15}):
         data, system, config = _null_case(6, 250, 3, **kwargs)
         _set_budgets(monkeypatch, *defaults)
         monkeypatch.setattr(btmod, "_TILE_SIDE", side)
         whole = run_test(data, system, config)
         omega = (250 - (2 if kwargs.get("mode") == "all" else 1)) // 3
-        for budget in (1, 3 * omega):
+        for budget, tile_side in ((1, 1), (3 * omega, side)):
             _set_budgets(monkeypatch, budget, budget)
+            monkeypatch.setattr(btmod, "_TILE_SIDE", tile_side)
             got = run_test(data, system, config)
             assert (got.statistic, got.k_effective, got.diag_floor_hits, got.reject) == (
                 whole.statistic, whole.k_effective, whole.diag_floor_hits, whole.reject
@@ -372,7 +393,7 @@ def test_results_invariant_to_thread_count(monkeypatch, case):
     monkeypatch.setattr(btmod, "_TILE_SIDE", 7)
     monkeypatch.setattr(btmod, "_usable_cores", lambda: 1)
     base = run_test(data, system, config)
-    stat, draws = statistic_and_draws(data, system, config, Scratch())
+    stat, draws = btmod._fold_and_draw([data], system, config, 1, Scratch())[:2]
     if case is _constant_column_case:
         assert base.diag_floor_hits == 20 and base.k_effective == 10
     # the chunks built in the fold's buffers reduce exactly like the
@@ -519,17 +540,23 @@ def test_results_invariant_to_column_groups(seed, mode):
     st.integers(0, 2**32 - 1),
     st.sampled_from([40, 255, 600, 1000]),
     st.floats(0.0, 1.0),
-    st.sampled_from([None, 300]),
+    st.sampled_from([None, 130, 300]),
     st.sampled_from(["equalities", "all"]),
     st.sampled_from([1, 2]),
+    st.sampled_from([btmod._BLOCK_BUDGET, 37]),
 )
-def test_stopped_draws_give_the_capped_full_count(seed, num_draws, share, chunk_rows, mode, jobs):
+@example(7, 1000, 0.4, 300, "all", 2, 37)
+def test_stopped_draws_give_the_capped_full_count(
+    seed, num_draws, share, chunk_rows, mode, jobs, block
+):
     # ``simulate``'s stop at T: the draws made are the first ones of the
     # full run, bit for bit, the rest stay at -inf, drawing ends within a
     # tile height (256 draws) of the T-th draw to reach the statistic,
     # and the count capped at T is the full count capped at T.  E below
-    # and not a multiple of the tile height, and chunks of 300 draws,
-    # whose last row of tiles is short
+    # and not a multiple of the tile height, chunks of 300 draws, whose
+    # last row of tiles is short, and of 130, below one tile height.  A
+    # block budget below a tile's 256 x 256 coordinates sizes only the
+    # column chunks, so a short row's tiles stay as wide as the chunk's
     rng = np.random.default_rng(seed)
     system = enumerate_constraints(random_latent_tree(rng, m_lo=4, m_hi=7))
     n = int(rng.integers(60, 200))
@@ -538,8 +565,8 @@ def test_stopped_draws_give_the_capped_full_count(seed, num_draws, share, chunk_
     stop = 1 + int(share * num_draws)
     omega = (n - (2 if mode == "all" else 1)) // 3
     budget = btmod._CHUNK_BUDGET if chunk_rows is None else chunk_rows * omega
-    with mock.patch.object(btmod, "_CHUNK_BUDGET", budget):
-        stat, full = statistic_and_draws(x, system, config, Scratch())
+    with mock.patch.multiple(btmod, _CHUNK_BUDGET=budget, _BLOCK_BUDGET=block):
+        stat, full = btmod._fold_and_draw([x], system, config, 1, Scratch())[:2]
         got_stat, drawn, _, _ = btmod._fold_and_draw([x], system, config, jobs, Scratch(), stop)
     assert got_stat == stat
     made = int(np.isfinite(drawn).sum())
@@ -562,7 +589,7 @@ def test_stop_draws_everything_with_more_than_one_column_group():
     # stream or replay a stream of several chunks
     for chunk in (btmod._CHUNK_BUDGET, 2000):
         with _grouped(1, 8, 1, chunk):
-            stat, full = statistic_and_draws(data, system, config, Scratch())
+            stat, full = btmod._fold_and_draw([data], system, config, 1, Scratch())[:2]
             got_stat, drawn, _, _ = btmod._fold_and_draw([data], system, config, 1, Scratch(), 1)
         assert got_stat == stat
         np.testing.assert_array_equal(drawn, full)
@@ -861,17 +888,16 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
     monkeypatch.setattr(btmod, "_tile_peaks", slow_tile_peaks)
     peaks, draws, tiles = {}, {}, {}
     for jobs in (1, 16):
-        with btmod._ordered_map(jobs) as imap:
-            tracemalloc.start()
-            try:
-                # the draws' scratch is traced: its chunks and its tile
-                # buffers, one per thread and tile of a chunk
-                scratch = Scratch()
-                taken = _recorded(scratch)
-                draws[jobs] = btmod._draws(fold, 1000, 3, scratch, jobs, imap=imap)
-                _, peaks[jobs] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            # the draws' scratch is traced: its chunks and its tile
+            # buffers, one per thread and tile of a chunk
+            scratch = Scratch()
+            taken = _recorded(scratch)
+            draws[jobs] = btmod._draws(fold, 1000, 3, scratch, jobs)
+            _, peaks[jobs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         ((region, buffers),) = taken
         assert region == "work"
         tiles[jobs] = sum(buffer.ndim == 1 for buffer in buffers)
@@ -882,7 +908,7 @@ def test_draws_memory_flat_in_thread_count(monkeypatch):
     assert tiles == {1: 1, 16: 2}
 
 
-def test_fold_chunks_hold_no_batch_sums_of_their_own():
+def test_fold_chunks_hold_no_batch_sums_of_their_own(monkeypatch):
     # a tall 6-leaf star in mode "all": 50 one-column chunks of omega =
     # 19,999 batch sums each, a 7.6 MiB store.  Each chunk writes its
     # sums into the store, so chunks that finish long before the fold
@@ -893,18 +919,21 @@ def test_fold_chunks_hold_no_batch_sums_of_their_own():
     source = column_source(data, system, "all")
     store_bytes = (source.n_rows // 3) * source.n_columns * 8
     assert len(btmod._column_slices(source.n_rows, slice(0, source.n_columns))) == 50
-    with btmod._ordered_map(2) as pool_map:
+    ordered_map = btmod._ordered_map
 
-        def imap(fn, items):
+    @contextmanager
+    def finishing_first(jobs):
+        with ordered_map(jobs) as pool_map:
             # every chunk finishes before the first result is handed out
-            return iter(list(pool_map(fn, items)))
+            yield lambda fn, items: iter(list(pool_map(fn, items)))
 
-        tracemalloc.start()
-        try:
-            (fold,) = _folds(source, 3, imap, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(btmod, "_ordered_map", finishing_first)
+    tracemalloc.start()
+    try:
+        (fold,) = _folds(source, 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert fold.k_effective == 50
     assert peak < 1.75 * store_bytes, f"traced peak {peak / store_bytes:.2f} x the store"
 
@@ -1039,7 +1068,7 @@ def test_replications_through_one_scratch_fault_few_pages():
 
     def replicate(rep):
         x = sample(cov, 500, seed=rep).data
-        results.append(statistic_and_draws(x, system, replace(config, seed=rep), scratch))
+        results.append(btmod._fold_and_draw([x], system, replace(config, seed=rep), 1, scratch)[:2])
 
     def shift(form):
         if form == "one block":
@@ -1184,8 +1213,10 @@ def test_config_validation():
         BootstrapConfig(alpha=1.0)
     with pytest.raises(ValueError, match="mode"):
         BootstrapConfig(mode="extra")
-    with pytest.raises(ValueError, match="subsample"):
+    with pytest.raises(ValueError, match="^subsample must be at least 1 when given$"):
         BootstrapConfig(subsample=0)
+    # numpy integers are counts too
+    assert BootstrapConfig(batch_size=np.int64(4), subsample=np.int32(2)).batch_size == 4
 
 
 # ---------------------------------------------------------------------------

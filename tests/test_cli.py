@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -30,13 +31,7 @@ import treegof
 import treegof.cli as climod
 import treegof.model
 import treegof.tree
-from treegof.bootstrap import (
-    BootstrapConfig,
-    Scratch,
-    quantile_from_draws,
-    run_test,
-    statistic_and_draws,
-)
+from treegof.bootstrap import BootstrapConfig, quantile_from_draws, run_test
 from treegof.cli import _parse_alpha_grid, main
 from treegof.metric import induced_metric
 from treegof.model import covariance_from_factor, sample, setup_params
@@ -816,22 +811,22 @@ def test_simulate_block_counts_decide_like_the_public_quantiles():
     system = enumerate_constraints(climod._star_tree(m))
     cov = covariance_from_factor(setup_params(2, m, seed=1))
     # the largest threshold of the four levels, as ``cmd_simulate`` passes
-    # it, and a smaller one, which decides only the levels below it
+    # it, and a smaller one, which decides only the levels below it.  Each
+    # replication is rerun through ``run_test`` with its seed sequences,
+    # as the README says: its p-value gives the full count
     for stop in (max(10 - j for j in levels), 5):
         counts = climod._simulate_block(cov, system, n, config, entropy, stop, range(2, 6))
         assert len(counts) == 4
         for rep, count in zip(range(2, 6), counts):
-            data_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0))
-            test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
-            x = sample(cov, n, data_ss)
-            stat, draws = statistic_and_draws(
-                x, system, replace(config, seed=test_ss), Scratch()
-            )
+            x = sample(cov, n, np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 0)))
             assert type(count) is int
-            assert count == min(np.count_nonzero(draws >= stat), stop)
             for alpha, j in zip(alphas, levels):
+                # a fresh sequence per run, because ``run_test`` spawns from it
+                test_ss = np.random.SeedSequence(entropy=entropy, spawn_key=(rep, 1))
+                result = run_test(x, system, replace(config, seed=test_ss, alpha=alpha))
+                assert count == min(round(result.p_value * 11) - 1, stop)
                 if 10 - j <= stop:
-                    assert (count < 10 - j) == (stat > quantile_from_draws(draws, alpha))
+                    assert (count < 10 - j) == result.reject
 
 
 def _simulate_with_and_without_stop(tmp_path, monkeypatch, argv, jobs):
@@ -993,7 +988,9 @@ def test_simulate_validates_covariance_once_per_block(tmp_path, capsys, monkeypa
 
 def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch):
     # replications are spread over --jobs processes; a thread pool per
-    # replication on top of them would oversubscribe the cores
+    # replication on top of them would oversubscribe the cores.  Each
+    # replication's fold (one column group) and its draws ask for one
+    # thread each
     seen = []
     ordered_map = treegof.bootstrap._ordered_map
 
@@ -1009,7 +1006,42 @@ def test_simulate_replications_run_single_threaded(tmp_path, capsys, monkeypatch
         "--out", str(tmp_path / "sizes.csv"),
     ]) == 0
     capsys.readouterr()
-    assert seen == [1, 1, 1]
+    assert seen == [1] * 6
+
+
+def test_no_thread_outlives_a_test_or_a_simulate(tmp_path, capsys, monkeypatch):
+    # every fold and every draw phase joins the threads of its pool, and
+    # ``simulate --jobs 2`` those of its worker pool, so a process that
+    # forks after a run forks with the threads it had before
+    # (``cli._START_METHOD``)
+    threads = threading.active_count()
+    during = []
+    ordered_map = treegof.bootstrap._ordered_map
+
+    @contextlib.contextmanager
+    def recording(jobs):
+        with ordered_map(jobs) as imap:
+            yield imap
+            during.append((jobs, threading.active_count()))
+
+    # a 6-leaf star's 30 columns in four groups of at most eight
+    system = enumerate_constraints(climod._star_tree(6))
+    x = sample(covariance_from_factor(setup_params(1, 6, seed=0)), 200, seed=1)
+    monkeypatch.setattr(treegof.bootstrap, "_ordered_map", recording)
+    monkeypatch.setattr(treegof.bootstrap, "_usable_cores", lambda: 2)
+    for name, value in {"_TILE_SIDE": 4, "_SUMS_BUDGET": 1, "_MIN_GROUP": 8}.items():
+        monkeypatch.setattr(treegof.bootstrap, name, value)
+    assert run_test(x, system, BootstrapConfig(seed=0)).k_effective == 30
+    assert [jobs for jobs, _ in during] == [2] * 8
+    assert max(alive for _, alive in during) > threads
+    assert threading.active_count() == threads
+    assert main([
+        "simulate", "--setup", "1", "--m", "5", "--n", "60", "--reps", "8",
+        "--multipliers", "50", "--seed", "2", "--jobs", "2",
+        "--out", str(tmp_path / "sizes.csv"),
+    ]) == 0
+    capsys.readouterr()
+    assert threading.active_count() == threads
 
 
 _WORKER_FAULTS = """

@@ -399,7 +399,6 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
 
         plain = EstimateSequence(expected, source.one_sided)
         for jobs in (1, 2):
-            with btmod._ordered_map(jobs) as imap:
-                got = btmod._folds(source, 3, Scratch(), jobs, imap)
-                expected = btmod._folds(plain, 3, Scratch())
-                _same_folds((fold() for fold in got), (fold() for fold in expected))
+            got = btmod._folds(source, 3, Scratch(), jobs)
+            expected = btmod._folds(plain, 3, Scratch())
+            _same_folds((fold() for fold in got), (fold() for fold in expected))
