@@ -82,8 +82,10 @@ class BootstrapConfig:
 
     ``seed`` feeds a seed sequence from which the multiplier stream and
     the optional column-subsampling stream are split off, so one integer
-    reproduces the full run.  ``subsample`` keeps that many columns,
-    drawn without replacement after mode selection.
+    or ``SeedSequence`` reproduces the full run: a ``SeedSequence`` is
+    copied, not advanced, so a config gives the same run every time
+    (``None`` draws fresh entropy each run).  ``subsample`` keeps that
+    many columns, drawn without replacement after mode selection.
     """
 
     batch_size: int = 3
@@ -127,7 +129,9 @@ class _Fold:
     """What the bootstrap keeps of one column group after one pass: the
     statistic, every column's variance proxy, and the sidedness and
     unit-length batch sums of the kept (non-degenerate) columns: a
-    column's sums over their norm, sqrt(batch size * omega * proxy)."""
+    column's sums over their norm, sqrt(batch size * omega * proxy).
+    ``sums`` is omega x kept, the kept rows of the group store
+    transposed."""
 
     statistic: float
     diag: np.ndarray
@@ -143,7 +147,8 @@ class Scratch:
     """Memory that the bootstrap core takes its large buffers from, in
     three regions:
 
-    - ``store``: one column group's omega x W unit-length batch sums;
+    - ``store``: one column group's W x omega batch sums, one row per
+      column, unit-length once the column is kept;
     - ``work``: one group's fold workspaces, and then that group's
       multiplier chunks and coordinate tiles;
     - ``stream``: a one-chunk multiplier stream kept across groups.
@@ -229,65 +234,61 @@ def _column_slices(rows: int, group: slice):
     ]
 
 
-def _moments(values: np.ndarray, omega: int, batch_size: int):
-    """Column means, batch sums of deviations and variance proxies of
-    one chunk, whose batched rows are overwritten with the deviations.
+def _moments(rows: np.ndarray, sums: np.ndarray, batch_size: int):
+    """Means and variance proxies of a chunk's rows, one row per column;
+    each row's batch sums of deviations from its mean go to its row of
+    ``sums``, and the rows are overwritten.
 
-    The chunk is column-major, as every source's ``block`` returns
-    it: numpy then sums each column as one
-    contiguous vector (pairwise), so no result depends on how the
-    columns are chunked.  Row-major blocks are summed row by row
-    instead, and a lone column pairwise, which would tie the low bits
-    to the chunk width.
+    Every row is contiguous, as every source's ``block`` returns it:
+    numpy then sums each row as one contiguous vector (pairwise), so no
+    result depends on how the columns are chunked.  The whole rows are
+    centred, the unbatched tail too: numpy buffers a third as much for
+    one contiguous operand as for the batched slice.
     """
-    ybar = values.mean(axis=0)
-    batched = values[: omega * batch_size]
-    batched -= ybar
-    batches = batched.reshape(omega, batch_size, -1)
-    # a batch's rows are added in row order, one row of every batch at a
-    # time: ``sum(axis=1)`` over the short batch axis is ten times
-    # slower.  The sums stay column-major, so each column's squares add
-    # pairwise.
-    sums = batches[:, 0].copy(order="K")
+    ybar = rows.mean(axis=1)
+    rows -= ybar[:, None]
+    omega = sums.shape[1]
+    batches = rows[:, : omega * batch_size].reshape(len(rows), omega, batch_size)
+    # a batch's entries are added in row order, one entry of every batch
+    # at a time: ``sum(axis=2)`` over the short batch axis is ten times
+    # slower
+    sums[...] = batches[:, :, 0]
     for row in range(1, batch_size):
-        sums += batches[:, row]
-    # an overflowing square is reported by ``_fold_chunk``'s check
+        sums += batches[:, :, row]
+    # the squares go to the rows, which are read no more; an overflowing
+    # square is reported by ``_fold_chunk``'s check
     with np.errstate(over="ignore"):
-        return ybar, sums, (sums**2).sum(axis=0) / (batch_size * omega)
+        squares = np.square(sums, out=rows[:, :omega])
+    return ybar, squares.sum(axis=1) / (batch_size * omega)
 
 
 def _fold_chunk(source, spare, batch_size, store, group, cols):
-    """Reduce the columns ``cols`` of ``group``: write the batch sums of
-    the kept (non-degenerate) ones, each divided by its norm, to the
-    front of the chunk's own columns of ``store``, and return every
-    column's variance proxy and the kept columns' sidedness and largest
-    studentized mean (-inf when none is kept).
+    """Reduce the columns ``cols`` of ``group`` into the chunk's own rows
+    of ``store``: each column's batch sums, divided by their norm when
+    the column is kept (non-degenerate).  Return every column's variance
+    proxy and the kept columns' largest studentized mean (-inf when none
+    is kept).
 
     The columns are built in a workspace taken from ``spare``, which
     gets it back when the chunk is reduced."""
-    omega = store.shape[0]
+    sums = store[cols.start - group.start : cols.stop - group.start]
     work = spare.pop()
     try:
-        ybar, sums, d = _moments(source.block(cols, work), omega, batch_size)
+        ybar, d = _moments(source.block(cols, work), sums, batch_size)
     finally:
         spare.append(work)
     keep = d > DIAG_FLOOR
-    root = np.sqrt(d[keep])
-    z = math.sqrt(source.n_rows) * ybar[keep] / root
+    root = np.sqrt(d)
+    z = math.sqrt(source.n_rows) * ybar[keep] / root[keep]
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
         raise ValueError(
             "variance proxies or studentized means overflow; rescale the data"
         )
     sided = source.one_sided[cols][keep]
     peak = float(np.where(sided, z, np.abs(z)).max()) if z.size else -math.inf
-    lo = cols.start - group.start
-    out = store[:, lo : lo + len(sided)]
-    # copied before the division: a division straight from the gathered
-    # copy holds numpy's iterator buffers on top of it, and forked
-    # ``simulate`` workers then faulted four times as many pages at m=20
-    out[...] = sums[:, keep]
-    out /= math.sqrt(batch_size * omega) * root
-    return d, sided, peak
+    norm = math.sqrt(batch_size * sums.shape[1]) * root[:, None]
+    np.divide(sums, norm, out=sums, where=keep[:, None])
+    return d, peak
 
 
 def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, jobs):
@@ -300,17 +301,15 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     (the diagonal of the batched covariance estimator) and the
     studentized means.  Rows beyond the largest multiple of the batch
     size are not batched (the means still use every row).  Each chunk
-    writes its kept columns' unit-length batch sums into its own
-    columns of ``store``; the fold moves them left past the columns
-    dropped before them, so the kept sums end up at the front of ``store``.
+    writes its columns' batch sums into its own rows of ``store``; the
+    fold moves the kept ones up past the rows of the columns dropped
+    before them, so the kept sums end up in the front rows of ``store``.
 
     Each chunk in flight has one workspace, as wide as the widest chunk,
     taken from the ``work`` region of ``scratch``: every group's fold
     reuses the memory of the first.
     """
-    width = group.stop - group.start
-    diag = np.empty(width)
-    kept_sided = np.empty(width, dtype=bool)
+    diag = np.empty(group.stop - group.start)
     statistic = -math.inf
     kept = 0
     slices = _column_slices(source.n_rows, group)
@@ -321,16 +320,16 @@ def _fold(source, batch_size: int, group: slice, store: np.ndarray, scratch, job
     spare = deque(tuple(buffers[i * n : i * n + n]) for i in range(spaces))
     work = partial(_fold_chunk, source, spare, batch_size, store, group)
     with _ordered_map(jobs) as imap:
-        for cols, (d, sided, peak) in zip(slices, imap(work, slices)):
+        for cols, (d, peak) in zip(slices, imap(work, slices)):
             lo = cols.start - group.start
-            diag[lo : cols.stop - group.start] = d
-            take = len(sided)
+            diag[lo : lo + len(d)] = d
             statistic = max(statistic, peak)
-            if kept < lo:
-                store[:, kept : kept + take] = store[:, lo : lo + take]
-            kept_sided[kept : kept + take] = sided
+            keep = d > DIAG_FLOOR
+            take = np.count_nonzero(keep)
+            if kept < lo or take < len(d):
+                store[kept : kept + take] = store[lo : lo + len(d)][keep]
             kept += take
-    return _Fold(statistic, diag, store[:, :kept], kept_sided[:kept])
+    return _Fold(statistic, diag, store[:kept].T, source.one_sided[group][diag > DIAG_FLOOR])
 
 
 def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1):
@@ -338,13 +337,14 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1):
     group (``_fold``) and returns its ``_Fold``.
 
     ``source`` has ``n_rows``, ``one_sided``, ``workspace_shapes(width)``
-    and ``block(cols, work)``: the column-major values of the column
-    slice ``cols``, built in a workspace ``work`` of arrays of those
-    shapes, which the fold overwrites.
+    and ``block(cols, work)``: the values of the column slice ``cols``,
+    one contiguous row per column, built in a workspace ``work`` of
+    arrays of those shapes, which the fold overwrites.
 
-    Every group's batch sums go to one omega x W store, the ``store``
-    region of ``scratch``, so only one group's sums are alive, and a
-    fold's ``sums`` hold only until the next group is folded.
+    Every group's batch sums go to one W x omega store, one row per
+    column, the ``store`` region of ``scratch``, so only one group's
+    sums are alive, and a fold's ``sums`` (the transpose of the kept
+    rows) hold only until the next group is folded.
     """
     _require_count("batch_size", batch_size)
     omega = source.n_rows // batch_size
@@ -354,7 +354,7 @@ def _folds(source, batch_size: int, scratch: Scratch, jobs: int = 1):
             "batches; need at least 2"
         )
     groups = _column_groups(omega, len(source.one_sided))
-    (store,) = scratch.take("store", [(omega, groups[0].stop)])
+    (store,) = scratch.take("store", [(groups[0].stop, omega)])
     return [
         partial(_fold, source, batch_size, group, store, scratch, jobs)
         for group in groups
@@ -370,12 +370,15 @@ def _require_columns(kept: int, columns: int) -> int:
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` as a ``SeedSequence``, from which every column group
+    """``seed`` as a new ``SeedSequence``, from which every column group
     restarts the same multiplier stream (``None`` draws fresh entropy
-    once)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+    once).  A ``SeedSequence`` is copied with no child spawned, so
+    spawning from the result never advances the caller's sequence."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+    )
 
 
 def _chunk_rows(num_draws: int, omega: int) -> int:

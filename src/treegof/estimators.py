@@ -133,8 +133,9 @@ class EstimateSequence:
         return ()
 
     def block(self, cols: slice, work) -> np.ndarray:
-        """A column-major copy of the columns ``cols``, for the fold to overwrite."""
-        return self.values[:, cols].copy(order="F")
+        """A copy of the columns ``cols``, one contiguous row per column,
+        for the fold to overwrite."""
+        return self.values[:, cols].T.copy()
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,10 @@ class ColumnSource:
         return (width, self.n_rows), (width, self.n_rows), (width, self.x.shape[0])
 
     def block(self, cols: slice, work) -> np.ndarray:
-        """Columns ``cols.start`` to ``cols.stop - 1``, one row per
-        estimate, in column-major layout; sign columns hold negated
-        monomial estimates, so that large positive values indicate
-        violation.
+        """Columns ``cols.start`` to ``cols.stop - 1``, one contiguous
+        row per column and one entry per estimate; sign columns hold
+        negated monomial estimates, so that large positive values
+        indicate violation.
 
         The columns are built in ``work``, arrays of the
         ``workspace_shapes`` of at least ``len(cols)`` columns, and the
@@ -190,7 +191,7 @@ class ColumnSource:
             signs = out[len(quads) :]
             _monomial_columns(xt, triples, signs, gather)
             np.negative(signs, out=signs)
-        return out.T
+        return out
 
 
 def column_source(
@@ -277,7 +278,7 @@ def build_estimate_matrix(
     work = [np.empty(shape) for shape in source.workspace_shapes(width)]
     values = np.empty((source.n_rows, source.n_columns), order="F")
     for cols in slices:
-        values[:, cols] = source.block(cols, work)
+        values[:, cols] = source.block(cols, work).T
     return EstimateSequence(values, source.one_sided)
 
 

@@ -120,8 +120,10 @@ def test_batch_sums_add_rows_in_order():
                 for row in range(i * batch + 1, (i + 1) * batch):
                     total += dev[row, c]
                 expect[i, c] = total
-        _, sums, diag = btmod._moments(np.asfortranarray(values), omega, batch)
-        np.testing.assert_array_equal(sums, expect)
+        # ``_moments`` fills one row of batch sums per column
+        sums = np.empty((values.shape[1], omega))
+        _, diag = btmod._moments(values.T.copy(), sums, batch)
+        np.testing.assert_array_equal(sums, expect.T)
         np.testing.assert_array_equal(fold.diag, diag)
         norm = math.sqrt(batch * omega) * np.sqrt(diag)
         np.testing.assert_array_equal(fold.sums, expect / norm)
@@ -129,18 +131,28 @@ def test_batch_sums_add_rows_in_order():
 
 @pytest.mark.parametrize("mode", ["equalities", "all"])
 def test_stored_batch_sums_have_unit_norm(monkeypatch, mode):
-    # every kept column of the store has Euclidean norm 1 within 4 ulps,
-    # with the columns of a constant variable dropped, in four-column
-    # chunks that the fold moves left past them, at one and two threads
+    # both sources hand the fold one contiguous row per column, equal for
+    # equal columns, and the store holds one contiguous row per kept
+    # column, of Euclidean norm 1 within 4 ulps: with the columns of a
+    # constant variable dropped, in four-column chunks whose kept rows
+    # the fold moves up past them, at one and two threads
     x, system, _ = _constant_column_case()
     source = column_source(x, system, mode)
+    matrix = build_estimate_matrix(x, system, mode)
     monkeypatch.setattr(btmod, "_BLOCK_BUDGET", 4 * source.n_rows)
-    for jobs in (1, 2):
-        (fold,) = _folds(source, 3, jobs)
-        assert 0 < fold.k_effective < len(fold.diag)
-        # each column's squares add pairwise as one contiguous vector
-        norms = np.sqrt((fold.sums.T.copy() ** 2).sum(axis=1))
-        assert np.abs(norms - 1.0).max() <= 4 * np.spacing(1.0), (mode, jobs)
+    work = [np.empty(shape) for shape in source.workspace_shapes(4)]
+    for cols in btmod._column_slices(source.n_rows, slice(0, source.n_columns)):
+        rows = source.block(cols, work), matrix.block(cols, ())
+        assert all(block.flags.c_contiguous for block in rows)
+        assert np.array_equal(*rows)
+    for seq in (source, matrix):
+        for jobs in (1, 2):
+            (fold,) = _folds(seq, 3, jobs)
+            assert 0 < fold.k_effective < len(fold.diag)
+            assert fold.sums.T.flags.c_contiguous
+            # each column's squares add pairwise as one contiguous vector
+            norms = np.sqrt((fold.sums.T**2).sum(axis=1))
+            assert np.abs(norms - 1.0).max() <= 4 * np.spacing(1.0), (mode, jobs)
 
 
 def test_statistic_zero_when_means_vanish():
@@ -734,6 +746,22 @@ def test_run_test_determinism():
     assert first == third
 
 
+@pytest.mark.parametrize("subsample", [None, 8])
+def test_run_test_repeats_itself_with_one_seed_sequence(subsample):
+    # a config's SeedSequence is copied, not spawned from, so each run
+    # splits the same multiplier and subsample streams from it and leaves
+    # it as it was; spawning from it gave this star another quantile the
+    # second time
+    system = enumerate_constraints(star_tree(5))
+    data = sample(covariance_from_factor(setup_params(1, 5, seed=0)), 200, seed=0)
+    seed = SeedSequence(3)
+    config = BootstrapConfig(seed=seed, subsample=subsample)
+    first = run_test(data, system, config)
+    assert run_test(data, system, config) == first
+    assert seed.n_children_spawned == 0
+    assert run_test(data, system, replace(config, seed=3)) == first
+
+
 def test_run_test_p_value_matches_draws():
     data, system, config = _null_case(6, 250, 2)
     result = run_test(data, system, config)
@@ -1029,7 +1057,7 @@ def test_reused_scratch_matches_unshared_buffers_bit_for_bit():
             _assert_disjoint(taken)
             ((region, (store,)), *rest) = taken
             assert region == "store"
-            groups = -(-expect[3] // store.shape[1])
+            groups = -(-expect[3] // store.shape[0])
             assert (groups > 2) == ("_SUMS_BUDGET" in budgets), name
             # a stream of one chunk is held across groups, and then the
             # draws take no chunk of their own
@@ -1135,10 +1163,10 @@ def test_run_test_overflowing_data_fails_loudly(monkeypatch):
     def run():
         calls = itertools.count()
 
-        def seventh_overflows(values, omega, batch_size):
+        def seventh_overflows(rows, sums, batch_size):
             if next(calls) == 6:
-                values *= 1e300
-            return moments(values, omega, batch_size)
+                rows *= 1e300
+            return moments(rows, sums, batch_size)
 
         with mock.patch.object(btmod, "_moments", seventh_overflows):
             run_test(data, system, config)

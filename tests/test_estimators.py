@@ -393,7 +393,7 @@ def test_chunk_buffers_match_product_expressions(seed, mode, subsample, narrow):
         widest = slices[0].stop - slices[0].start
         work = [np.empty(shape) for shape in source.workspace_shapes(widest)]
         for cols in slices[::-1] + slices:
-            assert np.array_equal(source.block(cols, work), expected[:, cols])
+            assert np.array_equal(source.block(cols, work), expected[:, cols].T)
         built = build_estimate_matrix(x, system, mode, subsample)
         assert np.array_equal(built.values, expected)
 
